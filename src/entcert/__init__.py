@@ -47,6 +47,7 @@ from .witness import (
     check_inequality,
     classify_ppt,
     evaluate,
+    evaluate_pair,
     ketbra_triple,
     ppt_min_eigenvalue,
     rotate_triple,
@@ -76,6 +77,7 @@ __all__ = [
     "classify_ppt",
     "evaluate",
     "evaluate_at_identity",
+    "evaluate_pair",
     "hermitian_eigen",
     "horodecki33",
     "iso23",

@@ -151,13 +151,14 @@ def _print_report(report: DetectionReport, as_json: bool) -> None:
 
 
 def _cmd_detect(args) -> int:
-    rho = dmfile.read_density(args.path)
     pairs = (tuple(args.pair),) if args.pair else None
-    if args.optimize:
+    try:
         cfg = SearchConfig(restarts=args.restarts, seed=args.seed, pairs=pairs)
-        report = maximize_violation(rho, cfg)
-    else:
-        report = evaluate_at_identity(rho, pairs)
+    except ValueError as exc:
+        print(f"entcert detect: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    rho = dmfile.read_density(args.path)
+    report = maximize_violation(rho, cfg) if args.optimize else evaluate_at_identity(rho, pairs)
     _print_report(report, args.as_json)
     return _VERDICT_EXIT[report.verdict]
 
@@ -166,19 +167,19 @@ def _cmd_scan(args) -> int:
     lo, hi = _FAMILY_DOMAIN[args.family]
     param_min = lo if args.param_min is None else args.param_min
     param_max = hi if args.param_max is None else args.param_max
-    if not (lo <= param_min <= param_max <= hi):
-        print(
-            f"entcert scan: error: parameter grid [{param_min}, {param_max}] "
-            f"outside family domain [{lo}, {hi}]",
-            file=sys.stderr,
-        )
+    try:  # every failure here is in the arguments: the family fixes the state
+        if not (lo <= param_min <= param_max <= hi):
+            raise ValueError(
+                f"parameter grid [{param_min}, {param_max}] outside family domain [{lo}, {hi}]"
+            )
+        if args.param_steps < 1 or args.p_steps < 2:
+            raise ValueError("need param-steps >= 1 and p-steps >= 2")
+        params = np.linspace(param_min, param_max, args.param_steps)
+        p_values = np.linspace(0.0, np.pi, args.p_steps)
+        rows = scan_1d(args.family, params, p_values, tuple(args.pair))
+    except ValueError as exc:
+        print(f"entcert scan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.param_steps < 1 or args.p_steps < 2:
-        print("entcert scan: error: need param-steps >= 1 and p-steps >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    params = np.linspace(param_min, param_max, args.param_steps)
-    p_values = np.linspace(0.0, np.pi, args.p_steps)
-    rows = scan_1d(args.family, params, p_values, tuple(args.pair))
     dmfile.write_scan_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -25,13 +25,13 @@ from .witness import (
     PptVerdict,
     Verdict,
     YValues,
-    build_triple_mxn,
     check_inequality,
     classify_ppt,
-    evaluate,
+    evaluate_pair,
     ppt_min_eigenvalue,
     valid_pairs,
 )
+from .witness import build_triple_mxn, evaluate  # noqa: F401  hooked by name: perfbench/spans.py
 
 NM_FATOL = 1e-12
 
@@ -73,6 +73,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.step_tol > 0:
+            raise ValueError(f"step_tol must be > 0, got {self.step_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -131,14 +137,7 @@ def _unitaries_from_theta(theta_a, theta_b, stack_a, stack_b) -> LocalUnitaryPai
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:
     """Violation f for one level pair and one parameter point. Deterministic."""
-    basis_a = build_basis(rho.shape.dim_a)
-    basis_b = build_basis(rho.shape.dim_b)
-    triple = build_triple_mxn(rho.shape, pair[0], pair[1], basis_a, basis_b)
-    uv = _unitaries_from_theta(
-        np.asarray(params.theta_a), np.asarray(params.theta_b),
-        basis_a.stack(), basis_b.stack(),
-    )
-    return evaluate(rho, triple, uv).f
+    return evaluate_pair(rho, pair, build_unitaries(params, rho.shape)).f
 
 
 def _final_verdict(ineq: Verdict, ppt: PptVerdict) -> Verdict:
@@ -157,14 +156,7 @@ def _report(
     tol: float,
 ) -> DetectionReport:
     """Assemble a report by re-evaluating the certificate from scratch."""
-    basis_a = build_basis(rho.shape.dim_a)
-    basis_b = build_basis(rho.shape.dim_b)
-    triple = build_triple_mxn(rho.shape, pair[0], pair[1], basis_a, basis_b)
-    uv = _unitaries_from_theta(
-        np.asarray(params.theta_a), np.asarray(params.theta_b),
-        basis_a.stack(), basis_b.stack(),
-    )
-    y = evaluate(rho, triple, uv)
+    y = evaluate_pair(rho, pair, build_unitaries(params, rho.shape))
     ppt_min = ppt_min_eigenvalue(rho)
     ppt = classify_ppt(ppt_min, rho.shape)
     verdict = _final_verdict(check_inequality(y, tol), ppt)
@@ -190,18 +182,11 @@ def evaluate_at_identity(
     tol: float = VIOLATION_TOL,
 ) -> DetectionReport:
     """Report for identity unitaries only, taking the best pair."""
-    shape = rho.shape
-    use_pairs = _resolve_pairs(shape, pairs)
-    basis_a = build_basis(shape.dim_a)
-    basis_b = build_basis(shape.dim_b)
-    uv = LocalUnitaryPair.identity(shape)
-    best_pair, best_f = None, None
-    for pair in use_pairs:
-        triple = build_triple_mxn(shape, pair[0], pair[1], basis_a, basis_b)
-        f = evaluate(rho, triple, uv).f
-        if best_f is None or f > best_f:
-            best_pair, best_f = pair, f
-    return _report(rho, best_pair, UnitaryParams.zero(shape), len(use_pairs), tol)
+    use_pairs = _resolve_pairs(rho.shape, pairs)
+    uv = LocalUnitaryPair.identity(rho.shape)
+    # max() keeps the earliest of equal values, as the search merge does.
+    best_pair = max(use_pairs, key=lambda pair: evaluate_pair(rho, pair, uv).f)
+    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), len(use_pairs), tol)
 
 
 def maximize_violation(
@@ -219,22 +204,18 @@ def maximize_violation(
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
     pairs = _resolve_pairs(shape, cfg.pairs)
-    basis_a = build_basis(shape.dim_a)
-    basis_b = build_basis(shape.dim_b)
-    stack_a, stack_b = basis_a.stack(), basis_b.stack()
-    na = shape.dim_a**2 - 1
-    nb = shape.dim_b**2 - 1
+    stack_a = build_basis(shape.dim_a).stack()
+    stack_b = build_basis(shape.dim_b).stack()
+    na, nb = len(stack_a), len(stack_b)
     evaluations = 0
     best = None  # (f, pair, x)
 
     for pidx, pair in enumerate(pairs):
-        triple = build_triple_mxn(shape, pair[0], pair[1], basis_a, basis_b)
-
-        def neg_f(x, _triple=triple):
+        def neg_f(x, _pair=pair):
             nonlocal evaluations
             evaluations += 1
             uv = _unitaries_from_theta(x[:na], x[na:], stack_a, stack_b)
-            return -evaluate(rho, _triple, uv).f
+            return -evaluate_pair(rho, _pair, uv).f
 
         starts = [np.zeros(na + nb)]
         for r in range(1, cfg.restarts + 1):
@@ -286,15 +267,12 @@ def scan_1d(
             f"unknown family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
         )
     fn, shape = SCAN_FAMILIES[family]
-    _resolve_pairs(shape, (pair,))
-    basis_a = build_basis(shape.dim_a)
-    basis_b = build_basis(shape.dim_b)
-    triple = build_triple_mxn(shape, pair[0], pair[1], basis_a, basis_b)
+    (pair,) = _resolve_pairs(shape, (pair,))
     v_eye = np.eye(shape.dim_b, dtype=complex)
     rows = []
     for a in family_params:
         rho = fn(float(a))
         for p in p_values:
             uv = LocalUnitaryPair(rotation_u(float(p), shape.dim_a), v_eye)
-            rows.append((float(a), float(p), evaluate(rho, triple, uv).f))
+            rows.append((float(a), float(p), evaluate_pair(rho, pair, uv).f))
     return rows

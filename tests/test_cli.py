@@ -204,6 +204,10 @@ def test_scan_rejects_bad_grid(tmp_path, capsys):
     )
     assert code == 3
     assert "domain" in err
+    for pair in (("1", "3"), ("2", "1")):  # no input file is read, so a usage error
+        code, _, err = run(capsys, "scan", "werner", "--pair", *pair, "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert "level pair" in err
 
 
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
@@ -233,10 +237,16 @@ def test_invalid_density_file_rejected(tmp_path, capsys):
     assert "trace" in err
 
 
-def test_missing_file_and_usage_errors(tmp_path, capsys):
+def test_missing_file_and_usage_errors(tmp_path, capsys, data_dir):
     assert run(capsys, "detect", str(tmp_path / "nope.dm"))[0] == 4
     assert run(capsys, "frobnicate")[0] == 3
     assert run(capsys, "make-state", "werner", "--out", "x.dm")[0] == 3  # missing --a
+    # bad search arguments are usage errors even when the file is fine
+    shipped = str(data_dir / "werner_1.0.dm")
+    for bad in (("--restarts", "0"), ("--seed", "-1")):
+        code, _, err = run(capsys, "detect", shipped, "--optimize", *bad)
+        assert code == 3
+        assert "must be >= " in err
 
 
 def test_console_entry_subprocess(tmp_path):

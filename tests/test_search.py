@@ -48,8 +48,10 @@ def test_unitary_params_validation():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(restarts=0)
+    for bad in ({"restarts": 0}, {"seed": -1}, {"max_iters": 0}, {"step_tol": 0.0},
+                {"step_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
 
 
 def test_evaluate_at_identity_reports():
@@ -114,16 +116,16 @@ def test_maximize_separable_stays_bounded():
 def test_reported_best_is_stream_maximum(monkeypatch):
     """Merged result equals the best objective value ever evaluated."""
     import entcert.search as search_mod
-    from entcert.witness import evaluate as real_evaluate
+    from entcert.witness import evaluate_pair as real_kernel
 
     seen = []
 
-    def recording(rho, t, uv):
-        y = real_evaluate(rho, t, uv)
+    def recording(rho, levels, uv):
+        y = real_kernel(rho, levels, uv)
         seen.append(y.f)
         return y
 
-    monkeypatch.setattr(search_mod, "evaluate", recording)
+    monkeypatch.setattr(search_mod, "evaluate_pair", recording)
     rep = search_mod.maximize_violation(ec.werner(0.8), SearchConfig(restarts=2, seed=5))
     assert seen
     assert rep.best_f == max(seen)

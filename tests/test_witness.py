@@ -14,6 +14,7 @@ from entcert import (
     check_inequality,
     classify_ppt,
     evaluate,
+    evaluate_pair,
     ketbra_triple,
     partial_transpose_b,
     ppt_min_eigenvalue,
@@ -193,6 +194,8 @@ def test_evaluate_errors():
     t = build_triple_mxn(sh22, 1, 2, cached_basis(2), cached_basis(2))
     with pytest.raises(ValueError):
         evaluate(ec.iso23(0.5), t, LocalUnitaryPair.identity(BipartiteShape(2, 3)))
+    with pytest.raises(ValueError, match="do not match"):
+        evaluate_pair(ec.iso23(0.5), (1, 2), LocalUnitaryPair.identity(sh22))
     # corrupted state smuggled past validation must trip the residual check
     bad = object.__new__(DensityMatrix)
     object.__setattr__(bad, "shape", sh22)
@@ -201,6 +204,37 @@ def test_evaluate_errors():
     object.__setattr__(bad, "mat", mat)
     with pytest.raises(ValueError, match="imaginary residual"):
         evaluate(bad, t, LocalUnitaryPair.identity(sh22))
+    with pytest.raises(ValueError, match="imaginary residual"):
+        evaluate_pair(bad, (1, 2), LocalUnitaryPair.identity(sh22))
+    with pytest.raises(ValueError):
+        evaluate_pair(werner(0.5), (1, 3), LocalUnitaryPair.identity(sh22))
+
+
+def test_evaluate_pair_matches_reference_triples():
+    """The four-column kernel against the full-matrix evaluation of every
+    reference construction, at random states and random local unitaries."""
+    rng = np.random.default_rng(41)
+
+    def agree(rho, levels, t, uv):
+        y, ref = evaluate_pair(rho, levels, uv), evaluate(rho, t, uv)
+        assert max(abs(y.y1 - ref.y1), abs(y.y2 - ref.y2), abs(y.y3 - ref.y3)) <= 1e-12
+
+    for m in range(2, 5):
+        for n in range(2, 5):
+            sh = BipartiteShape(m, n)
+            for trial in range(3):
+                rho = ec.random_density(sh, seed=100 * m + 10 * n + trial)
+                uv = random_unitary_pair(sh, rng)
+                for j, k in valid_pairs(sh):
+                    agree(rho, (j, k), ketbra_triple(sh, j, k), uv)
+                    t = build_triple_mxn(sh, j, k, cached_basis(m), cached_basis(n))
+                    agree(rho, (j, k), t, uv)
+    for d in range(2, 7):
+        sh = BipartiteShape(2, d)
+        t = build_triple_2xd(d, cached_basis(2), cached_basis(d))
+        for trial in range(3):
+            agree(ec.random_density(sh, seed=d + 10 * trial), (1, 2), t,
+                  random_unitary_pair(sh, rng))
 
 
 def test_check_inequality():
