@@ -94,7 +94,38 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def unitary_exp_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(i*h) for Hermitian h, with the (eigenvalues, eigenvectors) it was built from.
+
+    The decomposition is what :func:`exp_pullback` needs, so a caller that
+    wants both the unitary and its derivative pays for one eigen-solve.
+    """
+    vals, vecs = hermitian_eigen(h)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T, vals, vecs
+
+
 def unitary_exp(h: np.ndarray) -> np.ndarray:
     """exp(i*h) for Hermitian h, via eigendecomposition."""
-    vals, vecs = hermitian_eigen(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return unitary_exp_eigen(h)[0]
+
+
+def exp_pullback(g: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Derivative of Re Tr(g exp(i h)) with respect to Hermitian h.
+
+    ``vals``, ``vecs`` are the eigendecomposition of h (from
+    :func:`unitary_exp_eigen`). Returns K with
+    d/dt Re Tr(g exp(i (h + t e))) = Re Tr(K e) at t = 0 for every Hermitian e.
+
+    Daleckii-Krein: the derivative of exp(i h) along e is
+    V (i Gamma o V^dag e V) V^dag with the divided differences of exp(i x),
+    written branch-free as
+    Gamma_pq = exp(i (l_p + l_q)/2) sinc((l_p - l_q)/2),
+    so equal eigenvalues (h = 0, say) need no special case.
+    """
+    half = vals / 2
+    # np.sinc(x) is sin(pi x)/(pi x)
+    gamma = np.exp(1j * (half[:, None] + half[None, :])) * np.sinc(
+        (half[:, None] - half[None, :]) / np.pi
+    )
+    vh = vecs.conj().T
+    return vecs @ (1j * gamma * (vh @ g @ vecs)) @ vh

@@ -215,11 +215,11 @@ def evaluate(rho: DensityMatrix, t: WitnessTriple, uv: LocalUnitaryPair) -> YVal
     return _real_values([np.einsum("ij,ji->", back, y) for y in (t.y1, t.y2, t.y3)])
 
 
-def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair) -> YValues:
-    """``evaluate(rho, ketbra_triple(rho.shape, j, k), uv)`` from four columns.
+def _pair_block(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair):
+    """The kernel shared by :func:`evaluate_pair` and :func:`evaluate_pair_grad`.
 
-    The elementary triple reads only the columns |jj>, |jk>, |kj>, |kk> of
-    u (x) v. Every search path evaluates through this kernel.
+    Returns the y values, columns j, k of u and v, and lw = w^dag rho with
+    w the columns |jj>, |jk>, |kj>, |kk> of u (x) v.
     """
     j, k = levels
     _check_levels(rho.shape, j, k)
@@ -227,8 +227,46 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
     u2, v2 = uv.u[:, j - 1 : k : k - j], uv.v[:, j - 1 : k : k - j]  # columns j, k
     # np.kron(u2, v2) written out: np.kron's own overhead exceeds the rest of the call.
     w = (u2[:, None, :, None] * v2[None, :, None, :]).reshape(rho.shape.order, 4)
-    b = w.conj().T @ rho.mat @ w
-    return _real_values((b[1, 2] + b[2, 1], b[0, 0] - b[3, 3], b[0, 0] + b[3, 3]))
+    # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
+    lw = w.conj().T @ rho.mat
+    b = lw @ w
+    y = _real_values((b[1, 2] + b[2, 1], b[0, 0] - b[3, 3], b[0, 0] + b[3, 3]))
+    return y, u2, v2, lw
+
+
+def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair) -> YValues:
+    """``evaluate(rho, ketbra_triple(rho.shape, j, k), uv)`` from four columns.
+
+    The elementary triple reads only the columns |jj>, |jk>, |kj>, |kk> of
+    u (x) v. Every search path evaluates through this kernel, the search
+    itself through :func:`evaluate_pair_grad`, which shares it.
+    """
+    return _pair_block(rho, levels, uv)[0]
+
+
+def evaluate_pair_grad(
+    rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair
+) -> tuple[YValues, np.ndarray, np.ndarray]:
+    """:func:`evaluate_pair` plus the gradient of f over columns j, k of u and v.
+
+    Returns (y, gu, gv): gu (M x 2) and gv (N x 2) are the cotangents of
+    columns j, k of u and v, so a change du2, dv2 of those columns changes f
+    by Re Tr(gu^dag du2) + Re Tr(gv^dag dv2).
+
+    With b = w^dag rho w, df = 2 Re Tr(D w^dag rho dw) where D is real
+    symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
+    D[3,3] = -2 (y2 + y3).
+    """
+    y, u2, v2, lw = _pair_block(rho, levels, uv)
+    d = np.zeros((4, 4))
+    d[1, 2] = d[2, 1] = 2 * y.y1
+    d[0, 0] = 2 * (y.y2 - y.y3)
+    d[3, 3] = -2 * (y.y2 + y.y3)
+    # Cotangent of w, split over its factors w[(a, b), (s, t)] = u2[a, s] v2[b, t].
+    gw = (2 * (d @ lw)).conj().T.reshape(u2.shape[0], v2.shape[0], 2, 2)
+    gu = np.einsum("abst,bt->as", gw, v2.conj())
+    gv = np.einsum("abst,as->bt", gw, u2.conj())
+    return y, gu, gv
 
 
 def check_inequality(y: YValues, tol: float = VIOLATION_TOL) -> Verdict:

@@ -116,20 +116,58 @@ def test_maximize_separable_stays_bounded():
 def test_reported_best_is_stream_maximum(monkeypatch):
     """Merged result equals the best objective value ever evaluated."""
     import entcert.search as search_mod
-    from entcert.witness import evaluate_pair as real_kernel
+    from entcert.witness import evaluate_pair_grad as real_kernel
 
     seen = []
 
     def recording(rho, levels, uv):
-        y = real_kernel(rho, levels, uv)
+        y, gu, gv = real_kernel(rho, levels, uv)
         seen.append(y.f)
-        return y
+        return y, gu, gv
 
-    monkeypatch.setattr(search_mod, "evaluate_pair", recording)
+    monkeypatch.setattr(search_mod, "evaluate_pair_grad", recording)
     rep = search_mod.maximize_violation(ec.werner(0.8), SearchConfig(restarts=2, seed=5))
     assert seen
     assert rep.best_f == max(seen)
     assert rep.evaluations <= len(seen)
+
+
+@pytest.mark.parametrize("alpha, optimum", [(5.0, 16 / 441), (4.5, 1 / 63)])
+def test_maximize_reaches_known_optimum(alpha, optimum):
+    rep = maximize_violation(ec.horodecki33(alpha))
+    assert abs(rep.best_f - optimum) < 1e-9
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+def test_search_gradient_matches_central_differences(m, n):
+    from entcert.search import _generator_stack, _value_and_grad
+
+    sh = BipartiteShape(m, n)
+    stack_a, stack_b = _generator_stack(m), _generator_stack(n)
+    na, nb = len(stack_a), len(stack_b)
+    rng = np.random.default_rng(10 * m + n)
+    eps = 1e-6
+    for seed in range(2):
+        rho = ec.random_density(sh, seed=seed)
+        for pair in ec.valid_pairs(sh):
+            zero = np.zeros(na + nb)
+            # one diagonal generator per side: degenerate spectra for n >= 3
+            diag = zero.copy()
+            diag[na - 1], diag[-1] = 0.7, -0.4
+            for x in (zero, diag, rng.uniform(-np.pi, np.pi, na + nb)):
+                f, grad = _value_and_grad(rho, pair, x, stack_a, stack_b)
+                assert f == objective(
+                    rho, pair, UnitaryParams(tuple(x[:na]), tuple(x[na:]))
+                )
+                fd = np.empty_like(grad)
+                for i in range(na + nb):
+                    step = np.zeros(na + nb)
+                    step[i] = eps
+                    fd[i] = (
+                        _value_and_grad(rho, pair, x + step, stack_a, stack_b)[0]
+                        - _value_and_grad(rho, pair, x - step, stack_a, stack_b)[0]
+                    ) / (2 * eps)
+                assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
 
 def test_single_product_term_never_violates():
