@@ -7,7 +7,8 @@ SU(M) x SU(N); global phases drop out of the conjugation. Maximization is
 multi-start L-BFGS-B per level pair with the analytic gradient of the
 violation through the exp map: one deterministic start at zero (identity
 unitaries) plus seeded random starts, merged by best violation with ties
-broken toward the earliest (pair, restart).
+broken toward the earliest (pair, restart). ``scipy.optimize`` is imported
+on the first search, so importing this module costs numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ggm import build_basis
 from .linalg import BipartiteShape, exp_pullback, unitary_exp, unitary_exp_eigen
@@ -35,6 +35,16 @@ from .witness import (
     valid_pairs,
 )
 from .witness import build_triple_mxn, evaluate  # noqa: F401  hooked by name: perfbench/spans.py
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    A module global so callers can wrap it where the search looks it up.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,8 @@ class SearchConfig:
     max_iters: L-BFGS-B iterations per start.
     step_tol: L-BFGS-B projected-gradient tolerance (``gtol``).
     seed: root of the per-(pair, restart) random substreams.
-    pairs: level pairs to search; None means every valid pair.
+    pairs: level pairs (j, k), 1 <= j < k, to search; None means every
+        valid pair.
     """
 
     restarts: int = 16
@@ -87,6 +98,12 @@ class SearchConfig:
             raise ValueError(f"step_tol must be > 0, got {self.step_tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.pairs is not None:
+            if not self.pairs:
+                raise ValueError("at least one level pair required")
+            for j, k in self.pairs:
+                if not 1 <= j < k:
+                    raise ValueError(f"level pair ({j}, {k}) must have 1 <= j < k")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +249,14 @@ def test_missing_file_and_usage_errors(tmp_path, capsys, data_dir):
         code, _, err = run(capsys, "detect", shipped, "--optimize", *bad)
         assert code == 3
         assert "must be >= " in err
+    # a pair no file can hold is a usage error; one the file cannot hold is not
+    for pair in (("2", "1"), ("0", "1"), ("1", "1")):
+        for extra in ((), ("--optimize",)):
+            code, _, err = run(capsys, "detect", shipped, "--pair", *pair, *extra)
+            assert code == 3
+            assert "1 <= j < k" in err
+        assert run(capsys, "detect", str(tmp_path / "nope.dm"), "--pair", *pair)[0] == 3
+    assert run(capsys, "detect", shipped, "--pair", "1", "3")[0] == 4
 
 
 def test_console_entry_subprocess(tmp_path):
@@ -273,3 +283,59 @@ def test_write_density_roundtrip_values(tmp_path):
     back = read_density(path)
     assert np.array_equal(back.mat, rho.mat)
     assert back.shape == rho.shape
+
+
+_LAZY_SCIPY = """
+import contextlib, io, json, sys
+if sys.argv[3] == "scipy-first":
+    import scipy.optimize
+import entcert, entcert.cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = entcert.cli.main(list(argv))
+    return code, out.getvalue()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+data, tmp = sys.argv[1], sys.argv[2]
+codes = [
+    run(*argv)[0]
+    for argv in (
+        ("ppt", data + "/werner_1.0.dm"),
+        ("detect", data + "/horodecki33_3.5.dm"),
+        ("detect", data + "/iso23_0.26.dm", "--json"),
+        ("scan", "werner", "--param-steps", "3", "--p-steps", "5", "--out", tmp + "/s.csv"),
+        ("basis", "--dim", "3", "--out", tmp + "/b.txt"),
+        ("make-state", "iso23", "--a", "0.5", "--out", tmp + "/i.dm"),
+    )
+]
+before = scipy_modules()
+code, report = run("detect", data + "/werner_1.0.dm", "--optimize", "--json")
+print(json.dumps({"codes": codes + [code], "before": before,
+                  "after": "scipy.optimize" in sys.modules, "report": report}))
+"""
+
+
+def _lazy_scipy_run(data_dir, tmp_path, mode):
+    """Run _LAZY_SCIPY in a fresh interpreter on the package under src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY, str(data_dir), str(tmp_path), mode],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(r.stdout)
+
+
+def test_non_search_commands_do_not_import_scipy(data_dir, tmp_path):
+    lazy = _lazy_scipy_run(data_dir, tmp_path, "lazy")
+    assert lazy["before"] == []
+    assert lazy["after"]
+    assert lazy["codes"] == [0, 1, 1, 0, 0, 0, 0]
+    eager = _lazy_scipy_run(data_dir, tmp_path, "scipy-first")
+    assert eager["after"] and eager["before"]
+    assert lazy["report"] == eager["report"]

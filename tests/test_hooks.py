@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from entcert import BipartiteShape
+from entcert import BipartiteShape, SearchConfig, maximize_violation, valid_pairs, werner
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -43,3 +43,28 @@ def test_tracer_hook_names_resolve():
         fn, shape = entry
         assert callable(fn)
         assert isinstance(shape, BipartiteShape)
+
+
+def test_search_calls_minimize_through_the_module(monkeypatch):
+    # The tracer counts starts and objective calls by replacing
+    # search.minimize; a search that reaches scipy another way escapes it.
+    search = importlib.import_module("entcert.search")
+    rho, cfg = werner(1.0), SearchConfig(seed=0, restarts=2)
+    plain = maximize_violation(rho, cfg)
+
+    starts, calls = [], []
+    real = search.minimize
+
+    def counting_minimize(fun, x0, *args, **kwargs):
+        def counted(x, *a):
+            calls.append(1)
+            return fun(x, *a)
+
+        starts.append(1)
+        return real(counted, x0, *args, **kwargs)
+
+    monkeypatch.setattr(search, "minimize", counting_minimize)
+    traced = maximize_violation(rho, cfg)
+    assert len(starts) == (cfg.restarts + 1) * len(valid_pairs(rho.shape))
+    assert len(calls) == traced.evaluations
+    assert traced == plain

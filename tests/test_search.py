@@ -49,7 +49,8 @@ def test_unitary_params_validation():
 
 def test_search_config_validation():
     for bad in ({"restarts": 0}, {"seed": -1}, {"max_iters": 0}, {"step_tol": 0.0},
-                {"step_tol": float("nan")}):
+                {"step_tol": float("nan")}, {"pairs": ()}, {"pairs": ((2, 1),)},
+                {"pairs": ((0, 1),)}, {"pairs": ((1, 1),)}, {"pairs": ((1, 2), (3, 3))}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
 
