@@ -24,6 +24,7 @@ import numpy as np
 from . import dmfile
 from .ggm import build_basis
 from .search import (
+    FAMILY_PARAMS,
     DetectionReport,
     SCAN_FAMILIES,
     SearchConfig,
@@ -31,7 +32,7 @@ from .search import (
     maximize_violation,
     scan_1d,
 )
-from .states import horodecki33, iso23, werner
+from .states import horodecki33, iso23, werner  # noqa: F401  hooked by name: perfbench/spans.py
 from .witness import PptVerdict, Verdict, classify_ppt, ppt_min_eigenvalue
 
 EXIT_USAGE = 3
@@ -47,8 +48,6 @@ _PPT_EXIT = {
     PptVerdict.INCONCLUSIVE: 1,
     PptVerdict.SEPARABLE: 2,
 }
-
-_FAMILY_DOMAIN = {"werner": (0.0, 1.0), "iso23": (0.0, 1.0), "horodecki33": (2.0, 5.0)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,13 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_make = sub.add_parser("make-state", help="write a named-family state")
     fam = p_make.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    f_werner = fam.add_parser("werner", help="2x2 Werner state")
-    f_werner.add_argument("--a", type=float, required=True, help="mixing weight in [0, 1]")
-    f_iso = fam.add_parser("iso23", help="2x3 isotropic-type mixture")
-    f_iso.add_argument("--a", type=float, required=True, help="mixing weight in [0, 1]")
-    f_hor = fam.add_parser("horodecki33", help="3x3 Horodecki family")
-    f_hor.add_argument("--alpha", type=float, required=True, help="parameter in [2, 5]")
-    for f in (f_werner, f_iso, f_hor):
+    for name, (_, shape) in SCAN_FAMILIES.items():
+        par = FAMILY_PARAMS[name]
+        f = fam.add_parser(name, help=f"{shape.dim_a}x{shape.dim_b} {par.title}")
+        lo, hi = par.domain
+        f.add_argument(f"--{par.name}", type=float, required=True,
+                       help=f"{par.meaning} in [{lo:g}, {hi:g}]")
         f.add_argument("--out", required=True, help="output path")
         f.set_defaults(func=_cmd_make_state)
 
@@ -121,13 +119,9 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_make_state(args) -> int:
+    fn, _ = SCAN_FAMILIES[args.family]
     try:
-        if args.family == "werner":
-            rho = werner(args.a)
-        elif args.family == "iso23":
-            rho = iso23(args.a)
-        else:
-            rho = horodecki33(args.alpha)
+        rho = fn(getattr(args, FAMILY_PARAMS[args.family].name))
     except ValueError as exc:
         print(f"entcert make-state: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -164,7 +158,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    lo, hi = _FAMILY_DOMAIN[args.family]
+    lo, hi = FAMILY_PARAMS[args.family].domain
     param_min = lo if args.param_min is None else args.param_min
     param_max = hi if args.param_max is None else args.param_max
     try:  # every failure here is in the arguments: the family fixes the state

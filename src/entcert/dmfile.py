@@ -89,6 +89,11 @@ def parse_density(text: str) -> DensityMatrix:
     if m_dim < 2 or n_dim < 2:
         raise DmParseError(f"dimensions must be >= 2, got {m_dim} {n_dim}", 2, dims_tokens[1].start() + 1)
     order = m_dim * n_dim
+    # Count rows before allocating: a header can ask for far more memory
+    # than a short file could ever fill.
+    n_rows = sum(1 for line in lines[2:] if line.strip())
+    if n_rows < order:
+        raise DmParseError(f"expected {order} matrix rows, got {n_rows}", len(lines) + 1, 1)
     mat = np.zeros((order, order), dtype=complex)
     row = 0
     for line_no, line in enumerate(lines[2:], start=3):
@@ -107,8 +112,6 @@ def parse_density(text: str) -> DensityMatrix:
         for col_idx, tok in enumerate(tokens):
             mat[row, col_idx] = _parse_complex_token(tok.group(), line_no, tok.start() + 1)
         row += 1
-    if row != order:
-        raise DmParseError(f"expected {order} matrix rows, got {row}", len(lines) + 1, 1)
     return DensityMatrix(BipartiteShape(m_dim, n_dim), mat)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,11 +212,15 @@ def _report(
     rho: DensityMatrix,
     pair: tuple[int, int],
     params: UnitaryParams,
+    uv: LocalUnitaryPair,
     evaluations: int,
     tol: float,
 ) -> DetectionReport:
-    """Assemble a report by re-evaluating the certificate from scratch."""
-    y = evaluate_pair(rho, pair, build_unitaries(params, rho.shape))
+    """Assemble a report by re-evaluating the certificate from scratch.
+
+    uv is the unitary pair that params build.
+    """
+    y = evaluate_pair(rho, pair, uv)
     ppt_min = ppt_min_eigenvalue(rho)
     ppt = classify_ppt(ppt_min, rho.shape)
     verdict = _final_verdict(check_inequality(y, tol), ppt)
@@ -245,7 +250,8 @@ def evaluate_at_identity(
     uv = LocalUnitaryPair.identity(rho.shape)
     # max() keeps the earliest of equal values, as the search merge does.
     best_pair = max(use_pairs, key=lambda pair: evaluate_pair(rho, pair, uv).f)
-    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), len(use_pairs), tol)
+    # The zero parameters build exactly these identities, so no exp is needed.
+    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), uv, len(use_pairs), tol)
 
 
 def maximize_violation(
@@ -309,13 +315,33 @@ def maximize_violation(
 
     _, best_pair, x = best
     params = UnitaryParams(tuple(float(t) for t in x[:na]), tuple(float(t) for t in x[na:]))
-    return _report(rho, best_pair, params, evaluations, VIOLATION_TOL)
+    uv = build_unitaries(params, shape)
+    return _report(rho, best_pair, params, uv, evaluations, VIOLATION_TOL)
 
 
 SCAN_FAMILIES = {
     "werner": (werner, BipartiteShape(2, 2)),
     "iso23": (iso23, BipartiteShape(2, 3)),
     "horodecki33": (horodecki33, BipartiteShape(3, 3)),
+}
+
+
+class FamilyParam(NamedTuple):
+    """The rest of a named family's entry: what the family is, the name and
+    meaning of its parameter, and the parameter's closed domain."""
+
+    title: str
+    name: str
+    meaning: str
+    domain: tuple[float, float]
+
+
+# Keyed like SCAN_FAMILIES; the CLI builds ``make-state`` and the ``scan``
+# grid bounds from it.
+FAMILY_PARAMS = {
+    "werner": FamilyParam("Werner state", "a", "mixing weight", (0.0, 1.0)),
+    "iso23": FamilyParam("isotropic-type mixture", "a", "mixing weight", (0.0, 1.0)),
+    "horodecki33": FamilyParam("Horodecki family", "alpha", "parameter", (2.0, 5.0)),
 }
 
 
@@ -328,8 +354,10 @@ def scan_1d(
     """Violation grid with u = rotation_u(p) on A and v = I on B.
 
     Rows are (family_param, p, f) with the family parameter as the outer
-    loop. Pure arithmetic, no randomness: identical inputs give identical
-    tables.
+    loop. The rotations for every p are built once, and each family
+    parameter takes one kernel call over that stack, so memory grows with
+    the number of p values, not with the grid. Pure arithmetic, no
+    randomness: identical inputs give identical tables.
     """
     if family not in SCAN_FAMILIES:
         raise ValueError(
@@ -337,11 +365,14 @@ def scan_1d(
         )
     fn, shape = SCAN_FAMILIES[family]
     (pair,) = _resolve_pairs(shape, (pair,))
-    v_eye = np.eye(shape.dim_b, dtype=complex)
+    p_values = np.asarray(p_values, dtype=float)
+    if p_values.ndim != 1:
+        raise ValueError(f"p_values must be one-dimensional, got shape {p_values.shape}")
+    uv = LocalUnitaryPair(rotation_u(p_values, shape.dim_a), np.eye(shape.dim_b, dtype=complex))
+    p_list = p_values.tolist()
     rows = []
     for a in family_params:
-        rho = fn(float(a))
-        for p in p_values:
-            uv = LocalUnitaryPair(rotation_u(float(p), shape.dim_a), v_eye)
-            rows.append((float(a), float(p), evaluate_pair(rho, pair, uv).f))
+        a = float(a)
+        f = evaluate_pair(fn(a), pair, uv).f
+        rows += zip([a] * len(p_list), p_list, f.tolist())
     return rows

@@ -156,17 +156,19 @@ def schmidt_pure(theta: float, shape: BipartiteShape) -> DensityMatrix:
     return DensityMatrix(shape, np.outer(psi, psi.conj()))
 
 
-def rotation_u(p: float, n: int) -> np.ndarray:
+def rotation_u(p, n: int) -> np.ndarray:
     """One-parameter rotation of levels 1 and 2, identity on levels 3..n.
 
     cos(p) (|1><1| + |2><2|) + sin(p) (|1><2| - |2><1|) + sum_{l>2} |l><l|.
+    An array of angles gives the rotations stacked along its axes.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    u = np.eye(n, dtype=complex)
-    u[0, 0] = u[1, 1] = np.cos(p)
-    u[0, 1] = np.sin(p)
-    u[1, 0] = -np.sin(p)
+    c, s = np.cos(p), np.sin(p)
+    u = np.tile(np.eye(n, dtype=complex), np.shape(p) + (1, 1))
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = s
+    u[..., 1, 0] = -s
     return u
 
 

@@ -173,10 +173,12 @@ def build_triple_mxn(
 
 
 def _check_uv(uv: LocalUnitaryPair, shape: BipartiteShape) -> None:
-    if uv.u.shape != (shape.dim_a, shape.dim_a) or uv.v.shape != (shape.dim_b, shape.dim_b):
+    """u and v match the shape on their last two axes; leading axes stack."""
+    m, n = shape.dim_a, shape.dim_b
+    if uv.u.shape[-2:] != (m, m) or uv.v.shape[-2:] != (n, n):
         raise ValueError(
-            f"unitary factor orders {uv.u.shape[0]}x{uv.v.shape[0]} do not match "
-            f"shape {shape.dim_a}x{shape.dim_b}"
+            f"unitary factor orders {uv.u.shape[-1]}x{uv.v.shape[-1]} do not match "
+            f"shape {m}x{n}"
         )
 
 
@@ -191,14 +193,25 @@ def rotate_triple(t: WitnessTriple, uv: LocalUnitaryPair) -> WitnessTriple:
 
 
 def _real_values(traces) -> YValues:
-    """The three expectation values as floats, rejecting a complex residual."""
-    for tr in traces:
-        if abs(tr.imag) > IMAG_TOL:
-            raise ValueError(
-                f"expectation value has imaginary residual {tr.imag:.3e}; "
-                "input state or triple is corrupted"
-            )
-    return YValues(*(float(tr.real) for tr in traces))
+    """The three expectation values, rejecting a complex residual.
+
+    Complex scalars give floats. Arrays over a stack give float arrays, and
+    the check covers every slice. The error names the largest residual.
+    """
+    y1, y2, y3 = traces
+    if isinstance(y1, np.ndarray):
+        residual = max(np.abs(tr.imag).max(initial=0.0) for tr in traces)
+        values = (y1.real, y2.real, y3.real)
+    else:
+        residual = max(abs(y1.imag), abs(y2.imag), abs(y3.imag))
+        values = (float(y1.real), float(y2.real), float(y3.real))
+    if residual > IMAG_TOL:
+        imag = np.array([tr.imag for tr in traces])
+        raise ValueError(
+            f"expectation value has imaginary residual {imag.flat[np.abs(imag).argmax()]:.3e}; "
+            "input state or triple is corrupted"
+        )
+    return YValues(*values)
 
 
 def evaluate(rho: DensityMatrix, t: WitnessTriple, uv: LocalUnitaryPair) -> YValues:
@@ -219,18 +232,24 @@ def _pair_block(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPai
     """The kernel shared by :func:`evaluate_pair` and :func:`evaluate_pair_grad`.
 
     Returns the y values, columns j, k of u and v, and lw = w^dag rho with
-    w the columns |jj>, |jk>, |kj>, |kk> of u (x) v.
+    w the columns |jj>, |jk>, |kj>, |kk> of u (x) v. u and v may carry
+    leading stack axes, which broadcast against each other.
     """
     j, k = levels
     _check_levels(rho.shape, j, k)
     _check_uv(uv, rho.shape)
-    u2, v2 = uv.u[:, j - 1 : k : k - j], uv.v[:, j - 1 : k : k - j]  # columns j, k
+    u2, v2 = uv.u[..., j - 1 : k : k - j], uv.v[..., j - 1 : k : k - j]  # columns j, k
     # np.kron(u2, v2) written out: np.kron's own overhead exceeds the rest of the call.
-    w = (u2[:, None, :, None] * v2[None, :, None, :]).reshape(rho.shape.order, 4)
+    w = u2[..., :, None, :, None] * v2[..., None, :, None, :]
+    w = w.reshape(w.shape[:-4] + (rho.shape.order, 4))
     # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
-    lw = w.conj().T @ rho.mat
-    b = lw @ w
-    y = _real_values((b[1, 2] + b[2, 1], b[0, 0] - b[3, 3], b[0, 0] + b[3, 3]))
+    lw = w.conj().swapaxes(-1, -2) @ rho.mat
+    # Transposed, the stack axes come last (reversed), so bt[t, s] holds
+    # entry (s, t) of every slice: complex scalars for a single pair of
+    # unitaries, arrays that .T puts back in stack order otherwise.
+    bt = (lw @ w).T
+    b00, b33 = bt[0, 0], bt[3, 3]
+    y = _real_values(((bt[2, 1] + bt[1, 2]).T, (b00 - b33).T, (b00 + b33).T))
     return y, u2, v2, lw
 
 
@@ -240,6 +259,10 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
     The elementary triple reads only the columns |jj>, |jk>, |kj>, |kk> of
     u (x) v. Every search path evaluates through this kernel, the search
     itself through :func:`evaluate_pair_grad`, which shares it.
+
+    u and v may carry leading stack axes, which broadcast against each
+    other; y1, y2 and y3 are then float arrays over the broadcast stack,
+    each slice equal bit for bit to its own single evaluation.
     """
     return _pair_block(rho, levels, uv)[0]
 
@@ -255,9 +278,11 @@ def evaluate_pair_grad(
 
     With b = w^dag rho w, df = 2 Re Tr(D w^dag rho dw) where D is real
     symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
-    D[3,3] = -2 (y2 + y3).
+    D[3,3] = -2 (y2 + y3). u and v are single matrices, not stacks.
     """
     y, u2, v2, lw = _pair_block(rho, levels, uv)
+    if lw.ndim != 2:
+        raise ValueError("evaluate_pair_grad takes one unitary pair, not a stack")
     d = np.zeros((4, 4))
     d[1, 2] = d[2, 1] = 2 * y.y1
     d[0, 0] = 2 * (y.y2 - y.y3)

@@ -223,6 +223,17 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
         parse_density("dm v2\n")
     assert exc_info.value.line == 1
 
+    # a header asking for more rows than the file has fails before the
+    # matrix is allocated (9e6 x 9e6 here), as an input error
+    huge = tmp_path / "huge.dm"
+    huge.write_text("dm v1\ndims 3000 3000\n1,0\n")
+    code, _, err = run(capsys, "ppt", str(huge))
+    assert code == 4
+    assert "expected 9000000 matrix rows, got 1" in err
+    # a file one row short keeps its message and position
+    with pytest.raises(DmParseError, match="line 6, column 1: expected 4 matrix rows, got 3"):
+        parse_density("dm v1\ndims 2 2\n" + "0.25,0 0,0 0,0 0,0\n" * 3)
+
 
 def test_invalid_density_file_rejected(tmp_path, capsys):
     # valid syntax, not a density matrix (trace 2)

@@ -4,6 +4,7 @@ import pytest
 import entcert as ec
 from entcert import (
     BipartiteShape,
+    LocalUnitaryPair,
     SearchConfig,
     UnitaryParams,
     Verdict,
@@ -11,8 +12,13 @@ from entcert import (
     evaluate_at_identity,
     maximize_violation,
     objective,
+    rotation_u,
     scan_1d,
+    unitary_exp,
+    valid_pairs,
 )
+from entcert.search import FAMILY_PARAMS, SCAN_FAMILIES
+from entcert.witness import evaluate_pair
 
 
 def test_objective_at_zero_matches_identity_evaluation():
@@ -40,6 +46,18 @@ def test_build_unitaries():
     assert np.abs(uv.v @ uv.v.conj().T - np.eye(3)).max() < 1e-9
     with pytest.raises(ValueError, match="parameter lengths"):
         build_unitaries(UnitaryParams((0.0,), (0.0,) * 8), sh)
+
+
+def test_zero_params_build_exact_identity():
+    # evaluate_at_identity reports with LocalUnitaryPair.identity in place of
+    # build_unitaries(UnitaryParams.zero); that is only sound if exp(0) is I
+    # to the bit, signs of zero included.
+    for n in range(2, 7):
+        assert unitary_exp(np.zeros((n, n), dtype=complex)).tobytes() == np.eye(n, dtype=complex).tobytes()
+        sh = BipartiteShape(n, 8 - n)
+        built = build_unitaries(UnitaryParams.zero(sh), sh)
+        eye = LocalUnitaryPair.identity(sh)
+        assert built.u.tobytes() == eye.u.tobytes() and built.v.tobytes() == eye.v.tobytes()
 
 
 def test_unitary_params_validation():
@@ -218,3 +236,34 @@ def test_scan_horodecki_zero_crossing():
 def test_scan_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         scan_1d("bogus", [0.1], [0.1])
+
+
+def test_scan_rows_match_per_point_reference():
+    """One kernel call per family parameter gives the rows of a per-point loop, bit for bit."""
+    rng = np.random.default_rng(5)
+    p_grid = np.concatenate(([0.0, np.pi, -np.pi / 3, 4.0, 2 * np.pi + 0.1], rng.uniform(-10, 10, 6)))
+    for family, (fn, shape) in SCAN_FAMILIES.items():
+        lo, hi = FAMILY_PARAMS[family].domain
+        a_grid = [lo, (lo + hi) / 2, hi]
+        eye = np.eye(shape.dim_b, dtype=complex)
+        for pair in valid_pairs(shape):
+            rows = scan_1d(family, a_grid, p_grid, pair)
+            ref = [
+                (a, p, evaluate_pair(fn(a), pair, LocalUnitaryPair(rotation_u(p, shape.dim_a), eye)).f)
+                for a in a_grid
+                for p in p_grid.tolist()
+            ]
+            assert all(type(x) is float for row in rows for x in row)
+            assert np.array(rows).tobytes() == np.array(ref).tobytes(), (family, pair)
+        assert scan_1d(family, [], p_grid) == []
+        assert scan_1d(family, a_grid, []) == []
+
+
+def test_family_table_matches_constructors():
+    assert list(FAMILY_PARAMS) == list(SCAN_FAMILIES)
+    for family, (fn, shape) in SCAN_FAMILIES.items():
+        lo, hi = FAMILY_PARAMS[family].domain
+        assert fn(lo).shape == fn(hi).shape == shape
+        for outside in (lo - 1e-6, hi + 1e-6):
+            with pytest.raises(ValueError):
+                fn(outside)

@@ -97,6 +97,14 @@ def test_rotation_u():
     assert np.abs(u3 @ u3.conj().T - np.eye(3)).max() < 1e-15
     with pytest.raises(ValueError):
         rotation_u(0.1, 1)
+    # an array of angles stacks the per-angle rotations along its axes
+    angles = np.array([[0.0, np.pi, -0.7], [4.0, -np.pi / 2, 9.3]])
+    for n in (2, 3, 5):
+        stack = rotation_u(angles, n)
+        assert stack.shape == (2, 3, n, n)
+        for idx in np.ndindex(angles.shape):
+            assert stack[idx].tobytes() == rotation_u(float(angles[idx]), n).tobytes()
+        assert rotation_u(np.zeros(0), n).shape == (0, n, n)
 
 
 def test_random_density_contract():

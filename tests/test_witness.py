@@ -22,6 +22,7 @@ from entcert import (
     valid_pairs,
     werner,
 )
+from entcert.witness import evaluate_pair_grad
 from conftest import cached_basis
 
 I3 = np.eye(3, dtype=complex)
@@ -208,6 +209,59 @@ def test_evaluate_errors():
         evaluate_pair(bad, (1, 2), LocalUnitaryPair.identity(sh22))
     with pytest.raises(ValueError):
         evaluate_pair(werner(0.5), (1, 3), LocalUnitaryPair.identity(sh22))
+    # the error names the largest residual: y2 picks up 0.1 - (-0.3)
+    mat[3, 3] = 0.25 - 0.3j
+    with pytest.raises(ValueError, match="imaginary residual 4.000e-01"):
+        evaluate_pair(bad, (1, 2), LocalUnitaryPair.identity(sh22))
+    # Over a stack the check covers every slice. Swapping levels 1 and 2 on A
+    # moves |11> and |22> out of the diagonal reads, so only the identity
+    # slice sees the corrupted entries.
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    assert evaluate_pair(bad, (1, 2), LocalUnitaryPair(np.stack([swap, swap]), eye)).y1.shape == (2,)
+    with pytest.raises(ValueError, match="imaginary residual 4.000e-01"):
+        evaluate_pair(bad, (1, 2), LocalUnitaryPair(np.stack([swap, eye, swap]), eye))
+    with pytest.raises(ValueError, match="do not match"):
+        evaluate_pair(werner(0.5), (1, 2), LocalUnitaryPair(np.zeros((3, 3, 3)), eye))
+    with pytest.raises(ValueError, match="not a stack"):
+        evaluate_pair_grad(werner(0.5), (1, 2), LocalUnitaryPair(np.stack([eye, eye]), eye))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_evaluate_pair_stack_matches_single_evaluations():
+    """A stack of unitaries gives, slice by slice, the bits of the scalar kernel."""
+    rng = np.random.default_rng(7)
+    for m in range(2, 5):
+        for n in range(2, 5):
+            sh = BipartiteShape(m, n)
+            rho = ec.random_density(sh, seed=10 * m + n)
+            us = [random_unitary_pair(sh, rng) for _ in range(3)]
+            u_stack = np.stack([uv.u for uv in us])
+            v_stack = np.stack([uv.v for uv in us])
+            u0, v0 = us[0]
+            for pair in valid_pairs(sh):
+                cases = {
+                    "u only": (LocalUnitaryPair(u_stack, v0), [(u, v0) for u in u_stack]),
+                    "v only": (LocalUnitaryPair(u0, v_stack), [(u0, v) for v in v_stack]),
+                    "both": (LocalUnitaryPair(u_stack, v_stack), list(zip(u_stack, v_stack))),
+                    # a (3, 1) stack on u against a (3,) stack on v broadcasts to (3, 3)
+                    "broadcast": (
+                        LocalUnitaryPair(u_stack[:, None], v_stack),
+                        [(u, v) for u in u_stack for v in v_stack],
+                    ),
+                }
+                for name, (stacked, singles) in cases.items():
+                    y = evaluate_pair(rho, pair, stacked)
+                    ref = [evaluate_pair(rho, pair, LocalUnitaryPair(u, v)) for u, v in singles]
+                    for field in ("y1", "y2", "y3", "f"):
+                        got = np.ravel(getattr(y, field))
+                        want = [getattr(r, field) for r in ref]
+                        assert _bits(got) == _bits(want), (sh, pair, name, field)
+                empty = evaluate_pair(rho, pair, LocalUnitaryPair(u_stack[:0], v0))
+                assert empty.y1.shape == empty.y2.shape == empty.y3.shape == (0,)
 
 
 def test_evaluate_pair_matches_reference_triples():
