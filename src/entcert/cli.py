@@ -83,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--optimize", action="store_true",
                           help="maximize the violation over local unitaries")
     p_detect.add_argument("--pair", type=int, nargs=2, metavar=("J", "K"),
-                          help="restrict to one level pair")
+                          help="use this level pair only (default: every valid "
+                               "pair at the identity; (1, 2) for --optimize, "
+                               "which reaches every pair)")
     p_detect.add_argument("--seed", type=int, default=0, help="search seed")
     p_detect.add_argument("--restarts", type=int, default=16,
                           help="random restarts per level pair")

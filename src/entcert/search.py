@@ -9,6 +9,14 @@ violation through the exp map: one deterministic start at zero (identity
 unitaries) plus seeded random starts, merged by best violation with ties
 broken toward the earliest (pair, restart). ``scipy.optimize`` is imported
 on the first search, so importing this module costs numpy only.
+
+By default the search runs the level pair (1, 2) alone. The inequality for
+pair (j, k) reads only columns j, k of u and of v, and a signed permutation
+P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
+permutation is odd) moves them to columns 1, 2: pair (j, k) at (u, v) gives
+the same y values as pair (1, 2) at (uP_M, vP_N). Since the exp map covers
+SU(M) x SU(N), the (1, 2) search space holds every point of every other
+pair's. At the identity the pairs differ, so identity reports keep them all.
 """
 
 from __future__ import annotations
@@ -80,8 +88,9 @@ class SearchConfig:
     max_iters: L-BFGS-B iterations per start.
     step_tol: L-BFGS-B projected-gradient tolerance (``gtol``).
     seed: root of the per-(pair, restart) random substreams.
-    pairs: level pairs (j, k), 1 <= j < k, to search; None means every
-        valid pair.
+    pairs: level pairs (j, k), 1 <= j < k, to search; None means (1, 2),
+        which reaches every other pair's columns through a signed
+        permutation in SU(M) x SU(N) (see the module docstring).
     """
 
     restarts: int = 16
@@ -257,7 +266,11 @@ def evaluate_at_identity(
 def maximize_violation(
     rho: DensityMatrix, cfg: SearchConfig | None = None
 ) -> DetectionReport:
-    """Maximize the violation over level pairs and local unitaries.
+    """Maximize the violation over local unitaries for the configured pairs.
+
+    cfg.pairs None searches the pair (1, 2) only, which loses nothing: a
+    signed column permutation in SU(M) x SU(N) carries any pair's point to
+    a (1, 2) point with the same y values (see the module docstring).
 
     Per pair: L-BFGS-B ascents, with the analytic gradient through the exp
     map, from the zero start and from cfg.restarts random starts (entries
@@ -270,7 +283,7 @@ def maximize_violation(
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
-    pairs = _resolve_pairs(shape, cfg.pairs)
+    pairs = _resolve_pairs(shape, cfg.pairs or ((1, 2),))
     stack_a, stack_b = _generator_stack(shape.dim_a), _generator_stack(shape.dim_b)
     na, nb = len(stack_a), len(stack_b)
     evaluations = 0

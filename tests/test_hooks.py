@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from entcert import BipartiteShape, SearchConfig, maximize_violation, valid_pairs, werner
+from entcert import BipartiteShape, SearchConfig, horodecki33, maximize_violation, valid_pairs
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -48,9 +48,13 @@ def test_tracer_hook_names_resolve():
 def test_search_calls_minimize_through_the_module(monkeypatch):
     # The tracer counts starts and objective calls by replacing
     # search.minimize; a search that reaches scipy another way escapes it.
+    # On a 3x3 state the default (pair (1, 2) only) and every valid pair
+    # differ in start count.
     search = importlib.import_module("entcert.search")
-    rho, cfg = werner(1.0), SearchConfig(seed=0, restarts=2)
-    plain = maximize_violation(rho, cfg)
+    rho = horodecki33(5.0)
+    default = SearchConfig(seed=0, restarts=2)
+    every = SearchConfig(seed=0, restarts=2, pairs=valid_pairs(rho.shape))
+    plain = {cfg: maximize_violation(rho, cfg) for cfg in (default, every)}
 
     starts, calls = [], []
     real = search.minimize
@@ -64,7 +68,10 @@ def test_search_calls_minimize_through_the_module(monkeypatch):
         return real(counted, x0, *args, **kwargs)
 
     monkeypatch.setattr(search, "minimize", counting_minimize)
-    traced = maximize_violation(rho, cfg)
-    assert len(starts) == (cfg.restarts + 1) * len(valid_pairs(rho.shape))
-    assert len(calls) == traced.evaluations
-    assert traced == plain
+    for cfg, expected_starts in ((default, 3), (every, 9)):
+        starts.clear()
+        calls.clear()
+        traced = maximize_violation(rho, cfg)
+        assert len(starts) == expected_starts
+        assert len(calls) == traced.evaluations
+        assert traced == plain[cfg]

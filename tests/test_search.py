@@ -90,13 +90,17 @@ def test_evaluate_at_identity_reports():
     assert rep.ppt_verdict.value == "separable"
 
 
-def test_evaluate_at_identity_picks_best_pair():
-    # a singlet-type state on levels (2, 3) is only seen by that pair
+def _singlet_on_levels_2_3():
     sh = BipartiteShape(3, 3)
     vec = np.zeros(9, dtype=complex)
     vec[sh.index(2, 3)] = 1 / np.sqrt(2)
     vec[sh.index(3, 2)] = -1 / np.sqrt(2)
-    rep = evaluate_at_identity(ec.DensityMatrix(sh, np.outer(vec, vec.conj())))
+    return ec.DensityMatrix(sh, np.outer(vec, vec.conj()))
+
+
+def test_evaluate_at_identity_picks_best_pair():
+    # a singlet-type state on levels (2, 3) is only seen by that pair
+    rep = evaluate_at_identity(_singlet_on_levels_2_3())
     assert rep.best_pair == (2, 3)
     assert abs(rep.best_f - 1.0) < 1e-12
     assert rep.evaluations == 3
@@ -153,8 +157,74 @@ def test_reported_best_is_stream_maximum(monkeypatch):
 
 @pytest.mark.parametrize("alpha, optimum", [(5.0, 16 / 441), (4.5, 1 / 63)])
 def test_maximize_reaches_known_optimum(alpha, optimum):
-    rep = maximize_violation(ec.horodecki33(alpha))
-    assert abs(rep.best_f - optimum) < 1e-9
+    for seed in range(4):
+        rep = maximize_violation(ec.horodecki33(alpha), SearchConfig(seed=seed))
+        assert abs(rep.best_f - optimum) < 1e-9, seed
+
+
+def _signed_permutation(n, j, k):
+    """Column order and signs of P in SU(n) with P e_1 = e_j, P e_2 = e_k."""
+    order = [j - 1, k - 1] + [i for i in range(n) if i not in (j - 1, k - 1)]
+    signs = np.ones(n)
+    if round(np.linalg.det(np.eye(n)[:, order])) == -1:
+        signs[-1] = -1.0  # a column outside the first two; n >= 3 when (j, k) != (1, 2)
+    return order, signs
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 4)])
+def test_every_pair_is_pair_one_two_after_a_signed_permutation(m, n):
+    # Why the default search runs (1, 2) only: (j, k) at (u, v) and (1, 2)
+    # at (uP_M, vP_N) read the same four vectors, so they agree to the bit.
+    sh = BipartiteShape(m, n)
+    rng = np.random.default_rng(100 * m + n)
+    for seed in range(2):
+        rho = ec.random_density(sh, seed=seed)
+        # exp(i sum theta g) with traceless g: u in SU(M), v in SU(N)
+        params = UnitaryParams(
+            tuple(rng.uniform(-np.pi, np.pi, m * m - 1)),
+            tuple(rng.uniform(-np.pi, np.pi, n * n - 1)),
+        )
+        u, v = build_unitaries(params, sh)
+        assert abs(np.linalg.det(u) - 1) < 1e-12 and abs(np.linalg.det(v) - 1) < 1e-12
+        for j, k in valid_pairs(sh):
+            permuted = []
+            for w, dim in ((u, m), (v, n)):
+                order, signs = _signed_permutation(dim, j, k)
+                p = np.eye(dim)[:, order] * signs
+                assert abs(np.linalg.det(p) - 1) < 1e-12
+                assert np.array_equal(p[:, :2], np.eye(dim)[:, [j - 1, k - 1]])
+                selected = w[:, order] * signs  # w @ p, as an exact selection
+                assert np.allclose(selected, w @ p, rtol=0, atol=1e-15)
+                permuted.append(selected)
+            y = evaluate_pair(rho, (j, k), LocalUnitaryPair(u, v))
+            y12 = evaluate_pair(rho, (1, 2), LocalUnitaryPair(*permuted))
+            for name in ("y1", "y2", "y3"):
+                a, b = getattr(y, name), getattr(y12, name)
+                assert np.float64(a).tobytes() == np.float64(b).tobytes(), (j, k, name)
+
+
+def test_default_search_reaches_other_pairs_through_one_two(monkeypatch):
+    # The singlet on levels (2, 3): at the identity only pair (2, 3) sees
+    # it, and the default search finds it through pair (1, 2).
+    import entcert.search as search_mod
+    from entcert.witness import evaluate_pair_grad as real_kernel
+
+    rho = _singlet_on_levels_2_3()
+    searched = set()
+
+    def recording(rho, levels, uv):
+        searched.add(levels)
+        return real_kernel(rho, levels, uv)
+
+    monkeypatch.setattr(search_mod, "evaluate_pair_grad", recording)
+    for seed in range(4):
+        rep = maximize_violation(rho, SearchConfig(seed=seed))
+        assert rep.best_pair == (1, 2)
+        assert rep.best_f >= 1 - 1e-8, seed
+        assert rep.verdict is Verdict.ENTANGLED_CERTIFIED
+    assert searched == {(1, 2)}
+    maximize_violation(rho, SearchConfig(restarts=1, pairs=valid_pairs(rho.shape)))
+    assert searched == {(1, 2), (1, 3), (2, 3)}
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
