@@ -133,9 +133,32 @@ def write_basis(basis: GellMannBasis, path) -> None:
         fh.write(format_basis(basis))
 
 
+class _CoordText(dict):
+    """``%.16e`` text of grid coordinates, formatted once per distinct value.
+
+    Zeros are never stored: 0.0 == -0.0 but they print differently. A NaN
+    equals nothing, so only the same NaN object finds its entry. Keys are
+    compared by value, which is sound because equal real numbers (Python
+    or numpy floats and ints) print alike.
+    """
+
+    def __missing__(self, x) -> str:
+        text = f"{x:.16e}"
+        if x != 0:
+            self[x] = text
+        return text
+
+
 def format_scan_csv(rows) -> str:
+    """CSV text of (param, p, f) rows, every value as ``%.16e``.
+
+    A grid repeats each param and p value many times, so those two columns
+    are formatted once per distinct value; the text is the same as
+    formatting every entry.
+    """
+    coord = _CoordText()
     out = ["param,p,f"]
-    out += [f"{a:.16e},{p:.16e},{f:.16e}" for a, p, f in rows]
+    out += [f"{coord[a]},{coord[p]},{f:.16e}" for a, p, f in rows]
     return "\n".join(out) + "\n"
 
 

@@ -21,6 +21,7 @@ pair's. At the identity the pairs differ, so identity reports keep them all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -69,7 +70,7 @@ class UnitaryParams:
 
     def __post_init__(self):
         for theta in (self.theta_a, self.theta_b):
-            if not all(np.isfinite(x) for x in theta):
+            if not all(map(math.isfinite, theta)):
                 raise ValueError("unitary parameters must be finite")
 
     @classmethod
@@ -158,6 +159,15 @@ def _generator_stack(n: int) -> np.ndarray:
     return stack
 
 
+def _generator_sum(theta: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a theta_a g_a over a generator stack.
+
+    The one product ``np.tensordot(theta, stack, axes=1)`` makes, without
+    its Python overhead.
+    """
+    return np.dot(theta[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+
+
 def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitaryPair:
     """Exponentiate parameter vectors into a local unitary pair."""
     theta_a, theta_b = np.asarray(params.theta_a), np.asarray(params.theta_b)
@@ -167,8 +177,8 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
             f"parameter lengths ({theta_a.size}, {theta_b.size}) do not match "
             f"generator counts ({stack_a.shape[0]}, {stack_b.shape[0]})"
         )
-    u = unitary_exp(np.tensordot(theta_a, stack_a, axes=1))
-    v = unitary_exp(np.tensordot(theta_b, stack_b, axes=1))
+    u = unitary_exp(_generator_sum(theta_a, stack_a))
+    v = unitary_exp(_generator_sum(theta_b, stack_b))
     return LocalUnitaryPair(u, v)
 
 
@@ -192,8 +202,8 @@ def _value_and_grad(rho, levels, x, stack_a, stack_b) -> tuple[float, np.ndarray
     so re-evaluating a point's certificate reproduces its value bit for bit.
     """
     na = len(stack_a)
-    u, vals_a, vecs_a = unitary_exp_eigen(np.tensordot(x[:na], stack_a, axes=1))
-    v, vals_b, vecs_b = unitary_exp_eigen(np.tensordot(x[na:], stack_b, axes=1))
+    u, vals_a, vecs_a = unitary_exp_eigen(_generator_sum(x[:na], stack_a))
+    v, vals_b, vecs_b = unitary_exp_eigen(_generator_sum(x[na:], stack_b))
     y, gu, gv = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
     grad = np.concatenate(
         (

@@ -243,7 +243,10 @@ def _pair_block(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPai
     w = u2[..., :, None, :, None] * v2[..., None, :, None, :]
     w = w.reshape(w.shape[:-4] + (rho.shape.order, 4))
     # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
-    lw = w.conj().swapaxes(-1, -2) @ rho.mat
+    # One 2-D product over every slice's rows: a stacked matmul loops over
+    # the slices. For a single pair of unitaries the reshape is a view.
+    wd = w.conj().swapaxes(-1, -2)
+    lw = (wd.reshape(-1, rho.shape.order) @ rho.mat).reshape(wd.shape)
     # Transposed, the stack axes come last (reversed), so bt[t, s] holds
     # entry (s, t) of every slice: complex scalars for a single pair of
     # unitaries, arrays that .T puts back in stack order otherwise.

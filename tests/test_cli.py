@@ -12,10 +12,13 @@ from entcert.cli import main
 from entcert.dmfile import (
     DmParseError,
     format_density,
+    format_scan_csv,
     parse_density,
     read_density,
     write_density,
 )
+from entcert.search import FAMILY_PARAMS, SCAN_FAMILIES, scan_1d
+from entcert.witness import valid_pairs
 
 
 def run(capsys, *argv):
@@ -198,6 +201,45 @@ def test_scan_deterministic_and_correct(tmp_path, capsys):
         assert abs(f - ref) < 1e-9
         # values re-parse to exactly what was written
         assert ",".join(f"{v:.16e}" for v in (a, p, f)) == line
+
+
+def _per_row_csv(rows) -> str:
+    return "".join(["param,p,f\n"] + [f"{a:.16e},{p:.16e},{f:.16e}\n" for a, p, f in rows])
+
+
+def test_scan_csv_matches_per_row_formatting(tmp_path, capsys):
+    """The writer formats each distinct param and p once; the text must equal
+    formatting every entry, on real scans and on rows no scan produces."""
+    p_values = np.linspace(0.0, np.pi, 101)
+    for family, (_, shape) in SCAN_FAMILIES.items():
+        params = np.linspace(*FAMILY_PARAMS[family].domain, 101)
+        pairs = valid_pairs(shape) if family == "horodecki33" else ((1, 2),)
+        texts = {}
+        for pair in pairs:
+            rows = scan_1d(family, params, p_values, pair)
+            texts[pair] = _per_row_csv(rows)
+            assert format_scan_csv(rows) == texts[pair], (family, pair)
+        out = tmp_path / f"{family}.csv"
+        assert run(capsys, "scan", family, "--out", str(out))[0] == 0
+        assert out.read_bytes() == texts[(1, 2)].encode("ascii")
+
+    nan_a, nan_b = float("nan"), float("nan")
+    odd = [nan_a, nan_b, -nan_a, np.float64("nan"), np.inf, -np.inf, 5e-324, -5e-324,
+           np.float64(0.25), 0.25, np.float64(-0.0), 1, 1.0, np.float64(1.0), 2.0**-1074]
+    cases = [[], [(nan_a, nan_a, nan_a), (nan_b, nan_a, nan_b), (-nan_a, nan_b, -nan_b)]]
+    for col in range(3):
+        for zeros in ((0.0, -0.0), (-0.0, 0.0), (np.float64(-0.0), 0.0, -0.0, 0)):
+            rows = []
+            for z in zeros:
+                row = [1.5, 1.5, 1.5]
+                row[col] = z
+                rows.append(tuple(row))
+            cases.append(rows + [(z, z, z) for z in zeros])
+    cases.append([(a, p, f) for a in odd for p in odd for f in odd[::4]])
+    cases.append([(a, p, a) for a in odd + [0.0, -0.0] for p in (-0.0, 0.0, 0.25, np.float64(0.25))])
+    for rows in cases:
+        assert format_scan_csv(rows) == _per_row_csv(rows), rows
+    assert format_scan_csv([]) == "param,p,f\n"
 
 
 def test_scan_rejects_bad_grid(tmp_path, capsys):

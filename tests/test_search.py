@@ -17,7 +17,7 @@ from entcert import (
     unitary_exp,
     valid_pairs,
 )
-from entcert.search import FAMILY_PARAMS, SCAN_FAMILIES
+from entcert.search import FAMILY_PARAMS, SCAN_FAMILIES, _generator_stack, _generator_sum
 from entcert.witness import evaluate_pair
 
 
@@ -61,8 +61,24 @@ def test_zero_params_build_exact_identity():
 
 
 def test_unitary_params_validation():
-    with pytest.raises(ValueError):
-        UnitaryParams((float("nan"), 0.0, 0.0), (0.0,) * 3)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="unitary parameters must be finite"):
+            UnitaryParams((0.0, bad, 0.0), (0.0,) * 3)
+        with pytest.raises(ValueError, match="unitary parameters must be finite"):
+            UnitaryParams((0.0,) * 3, (0.0, 0.0, bad))
+    UnitaryParams((0.0, 1e308, -1e308), (np.float64(0.5), -0.0, 5e-324))
+
+
+def test_generator_sum_is_the_tensordot_product():
+    # build_unitaries and the search's hot loop both sum the generators
+    # through _generator_sum; it must round exactly as tensordot does.
+    rng = np.random.default_rng(3)
+    for n in range(2, 6):
+        stack = _generator_stack(n)
+        x = rng.uniform(-np.pi, np.pi, 2 * len(stack))
+        for theta in (x[: len(stack)], x[len(stack) :], np.zeros(len(stack))):
+            got = _generator_sum(theta, stack)
+            assert got.tobytes() == np.tensordot(theta, stack, axes=1).tobytes()
 
 
 def test_search_config_validation():

@@ -232,36 +232,47 @@ def _bits(x) -> bytes:
 
 
 def test_evaluate_pair_stack_matches_single_evaluations():
-    """A stack of unitaries gives, slice by slice, the bits of the scalar kernel."""
+    """A stack of unitaries gives, slice by slice, the bits of the scalar kernel.
+
+    Stacks of 3 and 150 slices on 2..5 x 2..5: the kernel multiplies every
+    slice's rows of w^dag by rho in one 2-D product.
+    """
     rng = np.random.default_rng(7)
-    for m in range(2, 5):
-        for n in range(2, 5):
-            sh = BipartiteShape(m, n)
-            rho = ec.random_density(sh, seed=10 * m + n)
-            us = [random_unitary_pair(sh, rng) for _ in range(3)]
-            u_stack = np.stack([uv.u for uv in us])
-            v_stack = np.stack([uv.v for uv in us])
-            u0, v0 = us[0]
-            for pair in valid_pairs(sh):
-                cases = {
-                    "u only": (LocalUnitaryPair(u_stack, v0), [(u, v0) for u in u_stack]),
-                    "v only": (LocalUnitaryPair(u0, v_stack), [(u0, v) for v in v_stack]),
-                    "both": (LocalUnitaryPair(u_stack, v_stack), list(zip(u_stack, v_stack))),
-                    # a (3, 1) stack on u against a (3,) stack on v broadcasts to (3, 3)
-                    "broadcast": (
-                        LocalUnitaryPair(u_stack[:, None], v_stack),
-                        [(u, v) for u in u_stack for v in v_stack],
-                    ),
-                }
-                for name, (stacked, singles) in cases.items():
-                    y = evaluate_pair(rho, pair, stacked)
-                    ref = [evaluate_pair(rho, pair, LocalUnitaryPair(u, v)) for u, v in singles]
-                    for field in ("y1", "y2", "y3", "f"):
-                        got = np.ravel(getattr(y, field))
-                        want = [getattr(r, field) for r in ref]
-                        assert _bits(got) == _bits(want), (sh, pair, name, field)
-                empty = evaluate_pair(rho, pair, LocalUnitaryPair(u_stack[:0], v0))
-                assert empty.y1.shape == empty.y2.shape == empty.y3.shape == (0,)
+    for size in (3, 150):
+        for m in range(2, 6):
+            for n in range(2, 6):
+                sh = BipartiteShape(m, n)
+                rho = ec.random_density(sh, seed=10 * m + n)
+                us = [random_unitary_pair(sh, rng) for _ in range(size)]
+                u_stack = np.stack([uv.u for uv in us])
+                v_stack = np.stack([uv.v for uv in us])
+                u0, v0 = us[0]
+                for pair in valid_pairs(sh):
+                    cases = {
+                        "u only": (LocalUnitaryPair(u_stack, v0), [(u, v0) for u in u_stack]),
+                        "v only": (LocalUnitaryPair(u0, v_stack), [(u0, v) for v in v_stack]),
+                        "both": (LocalUnitaryPair(u_stack, v_stack), list(zip(u_stack, v_stack))),
+                    }
+                    if size == 3:
+                        # a (3, 1) stack on u against a (3,) stack on v broadcasts to (3, 3)
+                        cases["broadcast"] = (
+                            LocalUnitaryPair(u_stack[:, None], v_stack),
+                            [(u, v) for u in u_stack for v in v_stack],
+                        )
+                    for name, (stacked, singles) in cases.items():
+                        y = evaluate_pair(rho, pair, stacked)
+                        ref = [evaluate_pair(rho, pair, LocalUnitaryPair(u, v)) for u, v in singles]
+                        for field in ("y1", "y2", "y3", "f"):
+                            got = np.ravel(getattr(y, field))
+                            want = [getattr(r, field) for r in ref]
+                            assert _bits(got) == _bits(want), (size, sh, pair, name, field)
+                    for stacked in (
+                        LocalUnitaryPair(u_stack[:0], v0),
+                        LocalUnitaryPair(u0, v_stack[:0]),
+                        LocalUnitaryPair(u_stack[:0], v_stack[:0]),
+                    ):
+                        empty = evaluate_pair(rho, pair, stacked)
+                        assert empty.y1.shape == empty.y2.shape == empty.y3.shape == (0,)
 
 
 def test_evaluate_pair_matches_reference_triples():
