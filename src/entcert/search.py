@@ -4,11 +4,12 @@ Local unitaries are parameterized through the generator exponential map:
 u = exp(i sum_a theta_a g_a) with g_a running over the SU(M) basis in its
 enumeration order (and likewise on B), so the search space covers all of
 SU(M) x SU(N); global phases drop out of the conjugation. Maximization is
-multi-start L-BFGS-B per level pair with the analytic gradient of the
+multi-start L-BFGS per level pair with the analytic gradient of the
 violation through the exp map: one deterministic start at zero (identity
 unitaries) plus seeded random starts, merged by best violation with ties
-broken toward the earliest (pair, restart). ``scipy.optimize`` is imported
-on the first search, so importing this module costs numpy only.
+broken toward the earliest (pair, restart). The optimizer,
+:func:`minimize`, is this module's own numpy L-BFGS with L-BFGS-B's
+defaults, so a search needs numpy only.
 
 By default the search runs the level pair (1, 2) alone. The inequality for
 pair (j, k) reads only columns j, k of u and of v, and a signed permutation
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from functools import cache
 from typing import NamedTuple
 
@@ -47,14 +49,160 @@ from .witness import (
 from .witness import build_triple_mxn, evaluate  # noqa: F401  hooked by name: perfbench/spans.py
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+# L-BFGS constants, after L-BFGS-B's defaults (Byrd, Lu, Nocedal and Zhu,
+# SIAM J. Sci. Comput. 16 (1995) 1190; Liu and Nocedal, Math. Prog. 45
+# (1989) 503). WOLFE_C1 is the textbook 1e-4 (L-BFGS-B's own is 1e-3).
+HISTORY = 10  # (s, y) pairs in the inverse-Hessian estimate
+WOLFE_C1 = 1e-4  # sufficient decrease
+WOLFE_C2 = 0.9  # curvature, on |slope| (strong Wolfe)
+MAX_LINE_EVALS = 20  # evaluations one line search may spend
+EXTRAPOLATE = 4.0  # step growth while the line search has no upper bracket
+EPS = np.finfo(float).eps
+F_RTOL = 1e7 * EPS  # stop when an iteration lowers f by less, relatively
+
+
+class MinimizeStatus(IntEnum):
+    """Why :func:`minimize` stopped."""
+
+    CONVERGED = 0  # max|gradient| <= gtol, or the drop in f fell below F_RTOL
+    ITERATION_CAP = 1  # maxiter iterations ran
+    LINE_SEARCH_FAILED = 2  # no strong-Wolfe step, even along -gradient
+
+
+class MinimizeResult(NamedTuple):
+    """Where one :func:`minimize` run stopped: the point, f there, the
+    iterations taken and why it stopped."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    status: MinimizeStatus
+
+
+def _lbfgs_direction(g: np.ndarray, steps: np.ndarray, changes: np.ndarray) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the steps s_i and gradient
+    changes y_i (rows, oldest first), seeded with s.y / y.y of the newest.
+
+    The two-loop recursion (Nocedal and Wright, *Numerical Optimization*,
+    Algorithm 7.4) with every inner product it needs read from the Gram
+    matrix S Y^T and three matrix-vector products, so its loops run on
+    Python floats instead of one numpy call per pair and step.
+    """
+    k = len(steps)
+    if not k:
+        return -g
+    q = -g  # H is linear, so recursing on -g gives -H g
+    sy = (steps @ changes.T).tolist()  # sy[i][j] = s_i . y_j
+    a = (steps @ q).tolist()
+    for i in reversed(range(k)):
+        row, t = sy[i], a[i]
+        for j in range(i + 1, k):
+            t -= a[j] * row[j]
+        a[i] = t / row[i]
+    newest = changes[-1]
+    r = (sy[-1][-1] / (newest @ newest)) * (q - np.dot(a, changes))
+    c = (changes @ r).tolist()
+    for i in range(k):
+        t = c[i]
+        for j in range(i):
+            t += c[j] * sy[j][i]
+        c[i] = a[i] - t / sy[i][i]
+    return r + np.dot(c, steps)
+
+
+def _interpolate(lo: tuple, hi: tuple) -> float:
+    """A trial step inside the bracket of (step, f, slope) ends lo and hi:
+    the minimizer of the cubic through both ends' values and slopes when it
+    lies at least a tenth of the bracket from either end, else the midpoint.
+    The range test also turns away a NaN from a non-finite end."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    if a != b:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        rad = d1 * d1 - da * db
+        if rad >= 0.0:
+            d2 = math.copysign(math.sqrt(rad), b - a)
+            denom = db - da + 2.0 * d2
+            if denom != 0.0:
+                t = b - (b - a) * (db + d2 - d1) / denom
+                margin = 0.1 * abs(b - a)
+                if min(a, b) + margin <= t <= max(a, b) - margin:
+                    return t
+    return 0.5 * (a + b)
+
+
+def _wolfe_step(fun, jac, x, f0: float, d, slope0: float, step: float):
+    """(x + t d, f, gradient) for a step t meeting the strong Wolfe
+    conditions, or None once MAX_LINE_EVALS points failed.
+
+    Bracketing and zoom as in Nocedal and Wright, *Numerical Optimization*
+    (2006), Algorithms 3.5 and 3.6: ``lo`` is the best step so far that
+    satisfies sufficient decrease, ``hi`` the other end of a bracket known
+    to hold an acceptable step. A non-finite f counts as too far.
+    """
+    lo, hi = (0.0, f0, slope0), None
+    for _ in range(MAX_LINE_EVALS):
+        x_new = x + step * d
+        f = float(fun(x_new))
+        g = jac(x_new)
+        slope = float(g @ d)
+        if not f <= f0 + WOLFE_C1 * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope)
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return x_new, f, g
+        else:
+            if (slope >= 0.0) if hi is None else slope * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = (step, f, slope)
+        step = EXTRAPOLATE * step if hi is None else _interpolate(lo, hi)
+    return None
+
+
+def minimize(fun, x0, jac, options) -> MinimizeResult:
+    """Minimize ``fun`` from ``x0`` by L-BFGS with a strong-Wolfe line search.
+
+    ``fun(x)`` returns f as a float and ``jac(x)`` its gradient; every point
+    visited costs one call of each, ``fun`` first. ``options`` holds
+    ``"maxiter"``, the iteration cap, and ``"gtol"``: the run has converged
+    once max|gradient| <= gtol, or once an iteration lowers f by at most
+    F_RTOL * max(|f|, 1). The first step along -gradient has length 1, later
+    ones try the full quasi-Newton step first. A failed line search drops
+    the history and retries along -gradient; a second failure ends the run.
+    The returned point is the last one accepted; each accepted point
+    lowers f.
 
     A module global so callers can wrap it where the search looks it up.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+    maxiter, gtol = options["maxiter"], options["gtol"]
+    x = np.array(x0, dtype=float)
+    f, g = float(fun(x)), jac(x)
+    steps = changes = no_history = np.empty((0, x.size))
+    nit = 0
+    while not abs(g).max() <= gtol:
+        if nit == maxiter:
+            return MinimizeResult(x, f, nit, MinimizeStatus.ITERATION_CAP)
+        d = _lbfgs_direction(g, steps, changes)
+        slope = float(g @ d)
+        if len(steps) and not slope < 0.0:  # lost descent: start over from -g
+            steps = changes = no_history
+            d, slope = -g, float(g @ -g)
+        step = 1.0 if len(steps) else 1.0 / math.sqrt(-slope)
+        found = _wolfe_step(fun, jac, x, f, d, slope, step)
+        if found is None:
+            if not len(steps):
+                return MinimizeResult(x, f, nit, MinimizeStatus.LINE_SEARCH_FAILED)
+            steps = changes = no_history
+            continue
+        x_new, f_new, g_new = found
+        s, y = x_new - x, g_new - g
+        if s @ y > EPS * (y @ y):  # skip a pair that would break positive definiteness
+            steps = np.concatenate((steps[1 - HISTORY :], s[None]))
+            changes = np.concatenate((changes[1 - HISTORY :], y[None]))
+        nit += 1
+        small_drop = f - f_new <= F_RTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if small_drop:
+            break
+    return MinimizeResult(x, f, nit, MinimizeStatus.CONVERGED)
 
 
 @dataclass(frozen=True)
@@ -86,8 +234,9 @@ class SearchConfig:
     """Budget and determinism knobs for the violation search.
 
     restarts: random starts per level pair, besides the zero start.
-    max_iters: L-BFGS-B iterations per start.
-    step_tol: L-BFGS-B projected-gradient tolerance (``gtol``).
+    max_iters: L-BFGS iterations per start.
+    step_tol: a start has converged once the max-norm of the gradient is
+        at most this (``gtol`` of :func:`minimize`).
     seed: root of the per-(pair, restart) random substreams.
     pairs: level pairs (j, k), 1 <= j < k, to search; None means (1, 2),
         which reaches every other pair's columns through a signed
@@ -282,12 +431,12 @@ def maximize_violation(
     signed column permutation in SU(M) x SU(N) carries any pair's point to
     a (1, 2) point with the same y values (see the module docstring).
 
-    Per pair: L-BFGS-B ascents, with the analytic gradient through the exp
-    map, from the zero start and from cfg.restarts random starts (entries
-    uniform in [-pi, pi], substream seeded by (pair index, restart index)),
-    each capped at cfg.max_iters iterations with projected-gradient
-    tolerance cfg.step_tol. The best point over all runs, the earliest on
-    ties, is re-evaluated to form the certificate, so the reported
+    Per pair: L-BFGS ascents (:func:`minimize`), with the analytic gradient
+    through the exp map, from the zero start and from cfg.restarts random
+    starts (entries uniform in [-pi, pi], substream seeded by (pair index,
+    restart index)), each capped at cfg.max_iters iterations with gradient
+    max-norm tolerance cfg.step_tol. The best point over all runs, the
+    earliest on ties, is re-evaluated to form the certificate, so the reported
     violation never depends on trusting the optimizer's bookkeeping.
     ``evaluations`` counts value-and-gradient evaluations.
     """
@@ -300,7 +449,7 @@ def maximize_violation(
     best = None  # (f, pair, x)
     last = (None, 0.0, None)  # one-slot cache: ((pair, x bytes), f, gradient)
 
-    # neg_f and neg_grad read the loop's current `pair`; scipy asks for
+    # neg_f and neg_grad read the loop's current `pair`; minimize asks for
     # both at each point, which the cache turns into one evaluation.
     def value_and_grad(x):
         nonlocal last
@@ -319,17 +468,18 @@ def maximize_violation(
         return -value_and_grad(x)[1]
 
     for pidx, pair in enumerate(pairs):
-        starts = [np.zeros(na + nb)]
-        for r in range(1, cfg.restarts + 1):
-            seq = np.random.SeedSequence(cfg.seed, spawn_key=(pidx, r))
-            rng = np.random.default_rng(seq)
-            starts.append(rng.uniform(-np.pi, np.pi, na + nb))
-        for x0 in starts:
+        # Each start is drawn just before its ascent, so memory does not
+        # grow with cfg.restarts.
+        for r in range(cfg.restarts + 1):
+            if r == 0:
+                x0 = np.zeros(na + nb)
+            else:
+                seq = np.random.SeedSequence(cfg.seed, spawn_key=(pidx, r))
+                x0 = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb)
             res = minimize(
                 neg_f,
                 x0,
                 jac=neg_grad,
-                method="L-BFGS-B",
                 options={"maxiter": cfg.max_iters, "gtol": cfg.step_tol},
             )
             cand = -float(res.fun)

@@ -17,7 +17,20 @@ from entcert import (
     unitary_exp,
     valid_pairs,
 )
-from entcert.search import FAMILY_PARAMS, SCAN_FAMILIES, _generator_stack, _generator_sum
+from entcert.search import (
+    FAMILY_PARAMS,
+    MAX_LINE_EVALS,
+    SCAN_FAMILIES,
+    WOLFE_C1,
+    WOLFE_C2,
+    MinimizeResult,
+    MinimizeStatus,
+    _generator_stack,
+    _generator_sum,
+    _lbfgs_direction,
+    _wolfe_step,
+    minimize,
+)
 from entcert.witness import evaluate_pair
 
 
@@ -176,6 +189,150 @@ def test_maximize_reaches_known_optimum(alpha, optimum):
     for seed in range(4):
         rep = maximize_violation(ec.horodecki33(alpha), SearchConfig(seed=seed))
         assert abs(rep.best_f - optimum) < 1e-9, seed
+
+
+def _rosenbrock(x):
+    return float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def _rosenbrock_grad(x):
+    g = np.zeros_like(x)
+    g[:-1] = -400 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2 * (1 - x[:-1])
+    g[1:] += 200 * (x[1:] - x[:-1] ** 2)
+    return g
+
+
+def _quadratic(n):
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = q @ np.diag(np.linspace(1, 10, n)) @ q.T
+    b = rng.normal(size=n)
+    return (lambda x: float(0.5 * x @ a @ x - b @ x)), (lambda x: a @ x - b), np.linalg.solve(a, b)
+
+
+def test_minimize_reaches_gtol():
+    # gtol loose enough that the gradient test, not the relative drop in f,
+    # ends each run.
+    cases = [(*_quadratic(n), np.zeros(n), 1e-5, 1e-5) for n in (2, 5, 10)]
+    cases += [
+        (_rosenbrock, _rosenbrock_grad, np.ones(2), np.array([-1.2, 1.0]), 1e-5, 1e-6),
+        (_rosenbrock, _rosenbrock_grad, np.ones(4), np.array([-1.2, 1.0, -1.2, 1.0]), 1e-4, 1e-4),
+    ]
+    for fun, jac, x_min, x0, gtol, x_tol in cases:
+        start = x0.copy()
+        res = minimize(fun, x0, jac=jac, options={"maxiter": 400, "gtol": gtol})
+        assert x0.tobytes() == start.tobytes()  # the start is not written to
+        assert isinstance(res, MinimizeResult)
+        assert res.status is MinimizeStatus.CONVERGED
+        assert 0 < res.nit < 400
+        assert np.abs(jac(res.x)).max() <= gtol
+        assert res.fun == fun(res.x)
+        assert np.abs(res.x - x_min).max() < x_tol
+
+
+def test_lbfgs_direction_matches_two_loop_recursion():
+    # _lbfgs_direction reorders the textbook recursion's arithmetic, so it
+    # agrees to rounding, not to the bit.
+    def two_loop(g, steps, changes):
+        q, alphas = g.copy(), []
+        for s, y in zip(steps[::-1], changes[::-1]):
+            alphas.append((s @ q) / (s @ y))
+            q -= alphas[-1] * y
+        q *= (steps[-1] @ changes[-1]) / (changes[-1] @ changes[-1])
+        for s, y, a in zip(steps, changes, alphas[::-1]):
+            q += (a - (y @ q) / (s @ y)) * s
+        return -q
+
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=16)
+    assert _lbfgs_direction(g, np.empty((0, 16)), np.empty((0, 16))).tolist() == (-g).tolist()
+    for k in (1, 2, 5, 10):
+        steps = rng.normal(size=(k, 16))
+        changes = steps + 0.3 * rng.normal(size=(k, 16))  # s.y > 0
+        ref = two_loop(g, steps, changes)
+        got = _lbfgs_direction(g, steps, changes)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), k
+
+
+def test_line_search_meets_strong_wolfe():
+    # From a step far too short (extrapolation), about right, and far too
+    # long (zoom), along -gradient and along a poorly scaled descent direction.
+    x = np.array([-1.2, 1.0, 0.3])
+    f0, g0 = _rosenbrock(x), _rosenbrock_grad(x)
+    for d in (-g0, -g0 * np.array([1.0, 30.0, 0.1])):
+        slope0 = float(g0 @ d)
+        for step in (1e-6, 1.0 / np.linalg.norm(d), 1e3):
+            x_new, f, g = _wolfe_step(_rosenbrock, _rosenbrock_grad, x, f0, d, slope0, step)
+            t = (x_new - x) @ d / (d @ d)
+            assert np.allclose(x_new, x + t * d, rtol=0, atol=1e-12)
+            assert f == _rosenbrock(x_new) <= f0 + WOLFE_C1 * t * slope0
+            assert abs(g @ d) <= -WOLFE_C2 * slope0
+
+
+def test_minimize_iteration_cap():
+    x0 = np.array([-1.2, 1.0])
+    res = minimize(_rosenbrock, x0, jac=_rosenbrock_grad, options={"maxiter": 3, "gtol": 1e-7})
+    assert res.nit == 3
+    assert res.status == 1 and res.status is MinimizeStatus.ITERATION_CAP
+    assert res.fun == _rosenbrock(res.x) < _rosenbrock(x0)
+
+
+def test_minimize_gives_up_on_nan():
+    x0 = np.array([-1.2, 1.0])
+    calls = []
+
+    def nan_after_first(x):
+        calls.append(1)
+        return _rosenbrock(x) if len(calls) == 1 else float("nan")
+
+    opts = {"maxiter": 400, "gtol": 1e-7}
+    res = minimize(nan_after_first, x0, jac=_rosenbrock_grad, options=opts)
+    assert res.status == 2 and res.status is MinimizeStatus.LINE_SEARCH_FAILED
+    assert res.nit == 0
+    assert res.x.tolist() == x0.tolist() and res.fun == _rosenbrock(x0)
+    assert len(calls) == 1 + MAX_LINE_EVALS
+
+
+def test_minimize_is_deterministic():
+    x0 = np.array([-1.2, 1.0, -1.2, 1.0, 0.5])
+    opts = {"maxiter": 400, "gtol": 1e-7}
+    r1, r2 = (minimize(_rosenbrock, x0, jac=_rosenbrock_grad, options=opts) for _ in range(2))
+    assert r1.x.tobytes() == r2.x.tobytes()
+    assert (r1.fun, r1.nit, r1.status) == (r2.fun, r2.nit, r2.status)
+
+
+def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
+    # A stand-in optimizer that stops at its start: memory must not grow
+    # with the number of restarts, and the starts are the seeded draws.
+    import tracemalloc
+
+    import entcert.search as search_mod
+
+    seen = []
+
+    def stand_in(fun, x0, jac, options):
+        return MinimizeResult(x0, 0.0, 0, MinimizeStatus.CONVERGED)
+
+    def recording(fun, x0, jac, options):
+        seen.append(x0)
+        return stand_in(fun, x0, jac, options)
+
+    monkeypatch.setattr(search_mod, "minimize", recording)
+    rho = ec.horodecki33(5.0)
+    maximize_violation(rho, SearchConfig(restarts=3, seed=11))
+    n = 2 * 8  # generator coefficients on 3x3: 8 per side
+    seqs = [np.random.SeedSequence(11, spawn_key=(0, r)) for r in (1, 2, 3)]
+    draws = [np.random.default_rng(seq).uniform(-np.pi, np.pi, n) for seq in seqs]
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in [np.zeros(n), *draws]]
+
+    monkeypatch.setattr(search_mod, "minimize", stand_in)
+    tracemalloc.start()
+    try:
+        maximize_violation(rho, SearchConfig(restarts=20000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def _signed_permutation(n, j, k):
