@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "which reaches every pair)")
     p_detect.add_argument("--seed", type=int, default=0, help="search seed")
     p_detect.add_argument("--restarts", type=int, default=16,
-                          help="random restarts per level pair")
+                          help="random restarts besides the zero start")
     p_detect.add_argument("--json", action="store_true", dest="as_json",
                           help="print the report as a single JSON line")
     p_detect.set_defaults(func=_cmd_detect)
@@ -147,14 +147,14 @@ def _print_report(report: DetectionReport, as_json: bool) -> None:
 
 
 def _cmd_detect(args) -> int:
-    pairs = (tuple(args.pair),) if args.pair else None
+    pair = tuple(args.pair) if args.pair else None
     try:
-        cfg = SearchConfig(restarts=args.restarts, seed=args.seed, pairs=pairs)
+        cfg = SearchConfig(restarts=args.restarts, seed=args.seed, pair=pair)
     except ValueError as exc:
         print(f"entcert detect: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rho = dmfile.read_density(args.path)
-    report = maximize_violation(rho, cfg) if args.optimize else evaluate_at_identity(rho, pairs)
+    report = maximize_violation(rho, cfg) if args.optimize else evaluate_at_identity(rho, pair)
     _print_report(report, args.as_json)
     return _VERDICT_EXIT[report.verdict]
 

@@ -1,17 +1,17 @@
-"""Violation maximization over level pairs and parameterized local unitaries.
+"""Violation maximization over parameterized local unitaries, one level pair at a time.
 
 Local unitaries are parameterized through the generator exponential map:
 u = exp(i sum_a theta_a g_a) with g_a running over the SU(M) basis in its
 enumeration order (and likewise on B), so the search space covers all of
 SU(M) x SU(N); global phases drop out of the conjugation. Maximization is
-multi-start L-BFGS per level pair with the analytic gradient of the
+multi-start L-BFGS on one level pair with the analytic gradient of the
 violation through the exp map: one deterministic start at zero (identity
 unitaries) plus seeded random starts, merged by best violation with ties
-broken toward the earliest (pair, restart). The optimizer,
+broken toward the earliest restart. The optimizer,
 :func:`minimize`, is this module's own numpy L-BFGS with L-BFGS-B's
 defaults, so a search needs numpy only.
 
-By default the search runs the level pair (1, 2) alone. The inequality for
+By default the search runs the level pair (1, 2). The inequality for
 pair (j, k) reads only columns j, k of u and of v, and a signed permutation
 P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
 permutation is odd) moves them to columns 1, 2: pair (j, k) at (u, v) gives
@@ -34,7 +34,6 @@ from .ggm import build_basis
 from .linalg import BipartiteShape, exp_pullback, unitary_exp, unitary_exp_eigen
 from .states import DensityMatrix, horodecki33, iso23, rotation_u, werner
 from .witness import (
-    VIOLATION_TOL,
     LocalUnitaryPair,
     PptVerdict,
     Verdict,
@@ -59,6 +58,7 @@ MAX_LINE_EVALS = 20  # evaluations one line search may spend
 EXTRAPOLATE = 4.0  # step growth while the line search has no upper bracket
 EPS = np.finfo(float).eps
 F_RTOL = 1e7 * EPS  # stop when an iteration lowers f by less, relatively
+GTOL = 1e-7  # a search start has converged once max|gradient| <= GTOL
 
 
 class MinimizeStatus(IntEnum):
@@ -178,7 +178,7 @@ def minimize(fun, x0, jac, options) -> MinimizeResult:
     steps = changes = no_history = np.empty((0, x.size))
     nit = 0
     while not abs(g).max() <= gtol:
-        if nit == maxiter:
+        if nit >= maxiter:
             return MinimizeResult(x, f, nit, MinimizeStatus.ITERATION_CAP)
         d = _lbfgs_direction(g, steps, changes)
         slope = float(g @ d)
@@ -233,37 +233,30 @@ class UnitaryParams:
 class SearchConfig:
     """Budget and determinism knobs for the violation search.
 
-    restarts: random starts per level pair, besides the zero start.
+    restarts: random starts besides the zero start.
     max_iters: L-BFGS iterations per start.
-    step_tol: a start has converged once the max-norm of the gradient is
-        at most this (``gtol`` of :func:`minimize`).
-    seed: root of the per-(pair, restart) random substreams.
-    pairs: level pairs (j, k), 1 <= j < k, to search; None means (1, 2),
+    seed: root of the per-restart random substreams.
+    pair: the level pair (j, k), 1 <= j < k, to search; None means (1, 2),
         which reaches every other pair's columns through a signed
         permutation in SU(M) x SU(N) (see the module docstring).
     """
 
     restarts: int = 16
     max_iters: int = 400
-    step_tol: float = 1e-7
     seed: int = 0
-    pairs: tuple[tuple[int, int], ...] | None = None
+    pair: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.step_tol > 0:
-            raise ValueError(f"step_tol must be > 0, got {self.step_tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.pairs is not None:
-            if not self.pairs:
-                raise ValueError("at least one level pair required")
-            for j, k in self.pairs:
-                if not 1 <= j < k:
-                    raise ValueError(f"level pair ({j}, {k}) must have 1 <= j < k")
+        if self.pair is not None:
+            j, k = self.pair
+            if not 1 <= j < k:
+                raise ValueError(f"level pair ({j}, {k}) must have 1 <= j < k")
 
 
 @dataclass(frozen=True)
@@ -382,7 +375,6 @@ def _report(
     params: UnitaryParams,
     uv: LocalUnitaryPair,
     evaluations: int,
-    tol: float,
 ) -> DetectionReport:
     """Assemble a report by re-evaluating the certificate from scratch.
 
@@ -391,72 +383,66 @@ def _report(
     y = evaluate_pair(rho, pair, uv)
     ppt_min = ppt_min_eigenvalue(rho)
     ppt = classify_ppt(ppt_min, rho.shape)
-    verdict = _final_verdict(check_inequality(y, tol), ppt)
+    verdict = _final_verdict(check_inequality(y), ppt)
     return DetectionReport(verdict, y.f, pair, params, y, ppt_min, ppt, evaluations)
 
 
-def _resolve_pairs(shape: BipartiteShape, pairs) -> tuple[tuple[int, int], ...]:
-    if pairs is None:
-        return valid_pairs(shape)
-    allowed = set(valid_pairs(shape))
-    out = tuple((int(j), int(k)) for j, k in pairs)
-    for p in out:
-        if p not in allowed:
-            raise ValueError(f"level pair {p} is not valid for shape {shape}")
-    if not out:
-        raise ValueError("at least one level pair required")
-    return out
+def _check_pair(shape: BipartiteShape, pair) -> tuple[int, int]:
+    """The level pair as Python ints; ValueError unless shape holds it."""
+    j, k = pair
+    pair = (int(j), int(k))
+    if pair not in valid_pairs(shape):
+        raise ValueError(f"level pair {pair} is not valid for shape {shape}")
+    return pair
 
 
 def evaluate_at_identity(
-    rho: DensityMatrix,
-    pairs: tuple[tuple[int, int], ...] | None = None,
-    tol: float = VIOLATION_TOL,
+    rho: DensityMatrix, pair: tuple[int, int] | None = None
 ) -> DetectionReport:
-    """Report for identity unitaries only, taking the best pair."""
-    use_pairs = _resolve_pairs(rho.shape, pairs)
+    """Report for identity unitaries only: the given pair, or the best of
+    every valid pair when pair is None (at the identity the pairs differ)."""
+    pairs = valid_pairs(rho.shape) if pair is None else (_check_pair(rho.shape, pair),)
     uv = LocalUnitaryPair.identity(rho.shape)
     # max() keeps the earliest of equal values, as the search merge does.
-    best_pair = max(use_pairs, key=lambda pair: evaluate_pair(rho, pair, uv).f)
+    best_pair = max(pairs, key=lambda p: evaluate_pair(rho, p, uv).f)
     # The zero parameters build exactly these identities, so no exp is needed.
-    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), uv, len(use_pairs), tol)
+    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), uv, len(pairs))
 
 
 def maximize_violation(
     rho: DensityMatrix, cfg: SearchConfig | None = None
 ) -> DetectionReport:
-    """Maximize the violation over local unitaries for the configured pairs.
+    """Maximize the violation over local unitaries for the configured pair.
 
-    cfg.pairs None searches the pair (1, 2) only, which loses nothing: a
-    signed column permutation in SU(M) x SU(N) carries any pair's point to
-    a (1, 2) point with the same y values (see the module docstring).
+    cfg.pair None searches the pair (1, 2), which loses nothing: a signed
+    column permutation in SU(M) x SU(N) carries any pair's point to a
+    (1, 2) point with the same y values (see the module docstring).
 
-    Per pair: L-BFGS ascents (:func:`minimize`), with the analytic gradient
-    through the exp map, from the zero start and from cfg.restarts random
-    starts (entries uniform in [-pi, pi], substream seeded by (pair index,
-    restart index)), each capped at cfg.max_iters iterations with gradient
-    max-norm tolerance cfg.step_tol. The best point over all runs, the
-    earliest on ties, is re-evaluated to form the certificate, so the reported
-    violation never depends on trusting the optimizer's bookkeeping.
-    ``evaluations`` counts value-and-gradient evaluations.
+    L-BFGS ascents (:func:`minimize`), with the analytic gradient through
+    the exp map, run from the zero start and from cfg.restarts random
+    starts (entries uniform in [-pi, pi], substream seeded by the restart
+    index), each capped at cfg.max_iters iterations with gradient max-norm
+    tolerance GTOL. The best point over all runs, the earliest on ties, is
+    re-evaluated to form the certificate, so the reported violation never
+    depends on trusting the optimizer's bookkeeping. ``evaluations`` counts
+    value-and-gradient evaluations.
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
-    pairs = _resolve_pairs(shape, cfg.pairs or ((1, 2),))
+    pair = _check_pair(shape, cfg.pair or (1, 2))
     stack_a, stack_b = _generator_stack(shape.dim_a), _generator_stack(shape.dim_b)
     na, nb = len(stack_a), len(stack_b)
     evaluations = 0
-    best = None  # (f, pair, x)
-    last = (None, 0.0, None)  # one-slot cache: ((pair, x bytes), f, gradient)
+    best = None  # (f, x)
+    last = (None, 0.0, None)  # one-slot cache: (x bytes, f, gradient)
 
-    # neg_f and neg_grad read the loop's current `pair`; minimize asks for
-    # both at each point, which the cache turns into one evaluation.
+    # minimize asks for both f and the gradient at each point, which the
+    # cache turns into one evaluation.
     def value_and_grad(x):
         nonlocal last
-        key = (pair, x.tobytes())
+        key = x.tobytes()
         if last[0] != key:
-            f, grad = _value_and_grad(rho, pair, x, stack_a, stack_b)
-            last = (key, f, grad)
+            last = (key, *_value_and_grad(rho, pair, x, stack_a, stack_b))
         return last[1], last[2]
 
     def neg_f(x) -> float:
@@ -467,29 +453,24 @@ def maximize_violation(
     def neg_grad(x) -> np.ndarray:
         return -value_and_grad(x)[1]
 
-    for pidx, pair in enumerate(pairs):
-        # Each start is drawn just before its ascent, so memory does not
-        # grow with cfg.restarts.
-        for r in range(cfg.restarts + 1):
-            if r == 0:
-                x0 = np.zeros(na + nb)
-            else:
-                seq = np.random.SeedSequence(cfg.seed, spawn_key=(pidx, r))
-                x0 = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb)
-            res = minimize(
-                neg_f,
-                x0,
-                jac=neg_grad,
-                options={"maxiter": cfg.max_iters, "gtol": cfg.step_tol},
-            )
-            cand = -float(res.fun)
-            if best is None or cand > best[0]:
-                best = (cand, pair, np.array(res.x))
+    # Each start is drawn just before its ascent, so memory does not grow
+    # with cfg.restarts. The spawn key's leading 0 keeps every seed's starts
+    # as they were when the search looped over several pairs.
+    for r in range(cfg.restarts + 1):
+        if r == 0:
+            x0 = np.zeros(na + nb)
+        else:
+            seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, r))
+            x0 = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb)
+        res = minimize(neg_f, x0, jac=neg_grad, options={"maxiter": cfg.max_iters, "gtol": GTOL})
+        cand = -float(res.fun)
+        if best is None or cand > best[0]:
+            best = (cand, np.array(res.x))
 
-    _, best_pair, x = best
+    x = best[1]
     params = UnitaryParams(tuple(float(t) for t in x[:na]), tuple(float(t) for t in x[na:]))
     uv = build_unitaries(params, shape)
-    return _report(rho, best_pair, params, uv, evaluations, VIOLATION_TOL)
+    return _report(rho, pair, params, uv, evaluations)
 
 
 SCAN_FAMILIES = {
@@ -537,7 +518,7 @@ def scan_1d(
             f"unknown family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
         )
     fn, shape = SCAN_FAMILIES[family]
-    (pair,) = _resolve_pairs(shape, (pair,))
+    pair = _check_pair(shape, pair)
     p_values = np.asarray(p_values, dtype=float)
     if p_values.ndim != 1:
         raise ValueError(f"p_values must be one-dimensional, got shape {p_values.shape}")

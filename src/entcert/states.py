@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteShape
+from .linalg import HERMITICITY_TOL, BipartiteShape
 
 TRACE_TOL = 1e-10
-HERM_TOL = 1e-10
 MIN_EIG_FLOOR = -1e-9
 
 
@@ -43,7 +42,7 @@ class DensityMatrix:
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         herm_dev = np.abs(mat - mat.conj().T).max()
-        if herm_dev > HERM_TOL:
+        if herm_dev > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:

@@ -195,23 +195,18 @@ def rotate_triple(t: WitnessTriple, uv: LocalUnitaryPair) -> WitnessTriple:
 def _real_values(traces) -> YValues:
     """The three expectation values, rejecting a complex residual.
 
-    Complex scalars give floats. Arrays over a stack give float arrays, and
-    the check covers every slice. The error names the largest residual.
+    Complex scalars give np.float64 values (a float subclass), arrays over a
+    stack give float arrays, and the check covers every slice. The error
+    names the largest residual.
     """
-    y1, y2, y3 = traces
-    if isinstance(y1, np.ndarray):
-        residual = max(np.abs(tr.imag).max(initial=0.0) for tr in traces)
-        values = (y1.real, y2.real, y3.real)
-    else:
-        residual = max(abs(y1.imag), abs(y2.imag), abs(y3.imag))
-        values = (float(y1.real), float(y2.real), float(y3.real))
-    if residual > IMAG_TOL:
-        imag = np.array([tr.imag for tr in traces])
+    values = np.asarray(traces)  # one array: a single conversion, not one per value
+    imag = values.imag
+    if np.abs(imag).max(initial=0.0) > IMAG_TOL:
         raise ValueError(
             f"expectation value has imaginary residual {imag.flat[np.abs(imag).argmax()]:.3e}; "
             "input state or triple is corrupted"
         )
-    return YValues(*values)
+    return YValues(*values.real)
 
 
 def evaluate(rho: DensityMatrix, t: WitnessTriple, uv: LocalUnitaryPair) -> YValues:
@@ -297,15 +292,13 @@ def evaluate_pair_grad(
     return y, gu, gv
 
 
-def check_inequality(y: YValues, tol: float = VIOLATION_TOL) -> Verdict:
-    """Certify entanglement iff the violation exceeds tol.
+def check_inequality(y: YValues) -> Verdict:
+    """Certify entanglement iff the violation exceeds VIOLATION_TOL.
 
     A non-positive violation is inconclusive: the inequality is only a
     necessary condition for separability.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    if y.f > tol:
+    if y.f > VIOLATION_TOL:
         return Verdict.ENTANGLED_CERTIFIED
     return Verdict.INCONCLUSIVE
 
@@ -316,14 +309,14 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     return float(vals[0])
 
 
-def classify_ppt(min_eig: float, shape: BipartiteShape, tol: float = PPT_TOL) -> PptVerdict:
+def classify_ppt(min_eig: float, shape: BipartiteShape) -> PptVerdict:
     """Oracle verdict from the minimum partial-transpose eigenvalue.
 
-    Negative (below -tol) means entangled. Non-negative means PPT, which
+    Negative (below -PPT_TOL) means entangled. Non-negative means PPT, which
     proves separability only in M*N <= 6; larger systems stay inconclusive
     because of bound entanglement.
     """
-    if min_eig < -tol:
+    if min_eig < -PPT_TOL:
         return PptVerdict.ENTANGLED
     if shape.order <= 6:
         return PptVerdict.SEPARABLE

@@ -311,8 +311,6 @@ def test_check_inequality():
     y = evaluate(werner(0.4), t, LocalUnitaryPair.identity(sh))
     assert abs(y.f - 0.07) < 1e-12
     assert check_inequality(y) is Verdict.ENTANGLED_CERTIFIED
-    with pytest.raises(ValueError):
-        check_inequality(YValues(1.0, 0.0, 0.0), tol=-1.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
