@@ -24,7 +24,6 @@ import numpy as np
 from . import dmfile
 from .ggm import build_basis
 from .search import (
-    FAMILY_PARAMS,
     DetectionReport,
     SCAN_FAMILIES,
     SearchConfig,
@@ -32,6 +31,7 @@ from .search import (
     maximize_violation,
     scan_1d,
 )
+from .states import FAMILY_PARAMS
 from .states import horodecki33, iso23, werner  # noqa: F401  hooked by name: perfbench/spans.py
 from .witness import PptVerdict, Verdict, classify_ppt, ppt_min_eigenvalue
 

@@ -53,7 +53,7 @@ def _require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = _require_square(m, what)
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+        raise ValueError(f"{what} not Hermitian (deviation {dev:.3e})")
     return m
 
 

@@ -23,6 +23,7 @@ pair's. At the identity the pairs differ, so identity reports keep them all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache
@@ -39,6 +40,7 @@ from .witness import (
     Verdict,
     YValues,
     check_inequality,
+    check_pair,
     classify_ppt,
     evaluate_pair,
     evaluate_pair_grad,
@@ -233,12 +235,12 @@ class UnitaryParams:
 class SearchConfig:
     """Budget and determinism knobs for the violation search.
 
-    restarts: random starts besides the zero start.
-    max_iters: L-BFGS iterations per start.
-    seed: root of the per-restart random substreams.
-    pair: the level pair (j, k), 1 <= j < k, to search; None means (1, 2),
-        which reaches every other pair's columns through a signed
-        permutation in SU(M) x SU(N) (see the module docstring).
+    restarts: random starts besides the zero start, an integer.
+    max_iters: L-BFGS iterations per start; a fractional cap stops at its ceiling.
+    seed: root of the per-restart random substreams, an integer.
+    pair: the level pair (j, k) to search, integers with 1 <= j < k; None
+        means (1, 2), which reaches every other pair's columns through a
+        signed permutation in SU(M) x SU(N) (see the module docstring).
     """
 
     restarts: int = 16
@@ -247,6 +249,9 @@ class SearchConfig:
     pair: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
@@ -254,9 +259,7 @@ class SearchConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pair is not None:
-            j, k = self.pair
-            if not 1 <= j < k:
-                raise ValueError(f"level pair ({j}, {k}) must have 1 <= j < k")
+            check_pair(self.pair)
 
 
 @dataclass(frozen=True)
@@ -373,27 +376,14 @@ def _report(
     rho: DensityMatrix,
     pair: tuple[int, int],
     params: UnitaryParams,
-    uv: LocalUnitaryPair,
+    y: YValues,
     evaluations: int,
 ) -> DetectionReport:
-    """Assemble a report by re-evaluating the certificate from scratch.
-
-    uv is the unitary pair that params build.
-    """
-    y = evaluate_pair(rho, pair, uv)
+    """Assemble a report around the certificate's y values."""
     ppt_min = ppt_min_eigenvalue(rho)
     ppt = classify_ppt(ppt_min, rho.shape)
     verdict = _final_verdict(check_inequality(y), ppt)
     return DetectionReport(verdict, y.f, pair, params, y, ppt_min, ppt, evaluations)
-
-
-def _check_pair(shape: BipartiteShape, pair) -> tuple[int, int]:
-    """The level pair as Python ints; ValueError unless shape holds it."""
-    j, k = pair
-    pair = (int(j), int(k))
-    if pair not in valid_pairs(shape):
-        raise ValueError(f"level pair {pair} is not valid for shape {shape}")
-    return pair
 
 
 def evaluate_at_identity(
@@ -401,12 +391,12 @@ def evaluate_at_identity(
 ) -> DetectionReport:
     """Report for identity unitaries only: the given pair, or the best of
     every valid pair when pair is None (at the identity the pairs differ)."""
-    pairs = valid_pairs(rho.shape) if pair is None else (_check_pair(rho.shape, pair),)
+    pairs = valid_pairs(rho.shape) if pair is None else (check_pair(pair, rho.shape),)
     uv = LocalUnitaryPair.identity(rho.shape)
     # max() keeps the earliest of equal values, as the search merge does.
-    best_pair = max(pairs, key=lambda p: evaluate_pair(rho, p, uv).f)
+    best_pair, y = max(((p, evaluate_pair(rho, p, uv)) for p in pairs), key=lambda py: py[1].f)
     # The zero parameters build exactly these identities, so no exp is needed.
-    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), uv, len(pairs))
+    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), y, len(pairs))
 
 
 def maximize_violation(
@@ -429,7 +419,7 @@ def maximize_violation(
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
-    pair = _check_pair(shape, cfg.pair or (1, 2))
+    pair = check_pair(cfg.pair or (1, 2), shape)
     stack_a, stack_b = _generator_stack(shape.dim_a), _generator_stack(shape.dim_b)
     na, nb = len(stack_a), len(stack_b)
     evaluations = 0
@@ -469,33 +459,14 @@ def maximize_violation(
 
     x = best[1]
     params = UnitaryParams(tuple(float(t) for t in x[:na]), tuple(float(t) for t in x[na:]))
-    uv = build_unitaries(params, shape)
-    return _report(rho, pair, params, uv, evaluations)
+    y = evaluate_pair(rho, pair, build_unitaries(params, shape))
+    return _report(rho, pair, params, y, evaluations)
 
 
 SCAN_FAMILIES = {
     "werner": (werner, BipartiteShape(2, 2)),
     "iso23": (iso23, BipartiteShape(2, 3)),
     "horodecki33": (horodecki33, BipartiteShape(3, 3)),
-}
-
-
-class FamilyParam(NamedTuple):
-    """The rest of a named family's entry: what the family is, the name and
-    meaning of its parameter, and the parameter's closed domain."""
-
-    title: str
-    name: str
-    meaning: str
-    domain: tuple[float, float]
-
-
-# Keyed like SCAN_FAMILIES; the CLI builds ``make-state`` and the ``scan``
-# grid bounds from it.
-FAMILY_PARAMS = {
-    "werner": FamilyParam("Werner state", "a", "mixing weight", (0.0, 1.0)),
-    "iso23": FamilyParam("isotropic-type mixture", "a", "mixing weight", (0.0, 1.0)),
-    "horodecki33": FamilyParam("Horodecki family", "alpha", "parameter", (2.0, 5.0)),
 }
 
 
@@ -518,7 +489,7 @@ def scan_1d(
             f"unknown family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
         )
     fn, shape = SCAN_FAMILIES[family]
-    pair = _check_pair(shape, pair)
+    pair = check_pair(pair, shape)
     p_values = np.asarray(p_values, dtype=float)
     if p_values.ndim != 1:
         raise ValueError(f"p_values must be one-dimensional, got shape {p_values.shape}")

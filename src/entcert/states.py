@@ -10,10 +10,11 @@ deterministic per seed (numpy PCG64 behind ``default_rng``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, BipartiteShape
+from .linalg import BipartiteShape, _require_hermitian, _require_square
 
 TRACE_TOL = 1e-10
 MIN_EIG_FLOOR = -1e-9
@@ -31,9 +32,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        mat = _require_square(np.array(self.mat, dtype=complex), "density matrix")
         if mat.shape[0] != self.shape.order:
             raise ValueError(
                 f"matrix order {mat.shape[0]} does not match "
@@ -41,9 +40,7 @@ class DensityMatrix:
             )
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        herm_dev = np.abs(mat - mat.conj().T).max()
-        if herm_dev > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
+        _require_hermitian(mat, "density matrix")
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
@@ -90,13 +87,37 @@ class SeparableEnsemble:
         return DensityMatrix(self.shape, mat)
 
 
+class FamilyParam(NamedTuple):
+    """The rest of a named family's entry: what the family is, the name and
+    meaning of its parameter, and the parameter's closed domain."""
+
+    title: str
+    name: str
+    meaning: str
+    domain: tuple[float, float]
+
+
+# The one home of each family's domain: the constructors check against it,
+# and the CLI builds ``make-state`` and the ``scan`` grid bounds from it.
+FAMILY_PARAMS = {
+    "werner": FamilyParam("Werner state", "a", "mixing weight", (0.0, 1.0)),
+    "iso23": FamilyParam("isotropic-type mixture", "a", "mixing weight", (0.0, 1.0)),
+    "horodecki33": FamilyParam("Horodecki family", "alpha", "parameter", (2.0, 5.0)),
+}
+
+
+def _check_param(family: str, value: float) -> None:
+    lo, hi = FAMILY_PARAMS[family].domain
+    if not lo <= value <= hi:
+        raise ValueError(f"{family} parameter must be in [{lo:g}, {hi:g}], got {value}")
+
+
 def werner(a: float) -> DensityMatrix:
     """Two-qubit Werner state a |psi-><psi-| + (1-a)/4 I, 0 <= a <= 1.
 
     |psi-> = (|12> - |21>)/sqrt(2). Entangled (NPT) exactly for a > 1/3.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"werner parameter must be in [0, 1], got {a}")
+    _check_param("werner", a)
     shape = BipartiteShape(2, 2)
     psi = np.zeros(4, dtype=complex)
     psi[shape.index(1, 2)] = 1.0 / np.sqrt(2.0)
@@ -110,8 +131,7 @@ def iso23(a: float) -> DensityMatrix:
 
     Entangled iff a > 1/4.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"iso23 parameter must be in [0, 1], got {a}")
+    _check_param("iso23", a)
     shape = BipartiteShape(2, 3)
     psi = np.zeros(6, dtype=complex)
     psi[shape.index(1, 1)] = 1.0 / np.sqrt(2.0)
@@ -128,8 +148,7 @@ def horodecki33(alpha: float) -> DensityMatrix:
     Separable for 2 <= alpha <= 3, bound entangled (PPT) for 3 < alpha <= 4,
     free entangled (NPT) for 4 < alpha <= 5.
     """
-    if not 2.0 <= alpha <= 5.0:
-        raise ValueError(f"horodecki33 parameter must be in [2, 5], got {alpha}")
+    _check_param("horodecki33", alpha)
     shape = BipartiteShape(3, 3)
     psi = np.zeros(9, dtype=complex)
     for i in (1, 2, 3):

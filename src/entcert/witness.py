@@ -15,6 +15,7 @@ oracle provides the independent cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -89,15 +90,20 @@ def valid_pairs(shape: BipartiteShape) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(1, top + 1) for k in range(j + 1, top + 1))
 
 
-def _check_levels(shape: BipartiteShape, j: int, k: int) -> None:
-    if not 1 <= j < k:
-        raise ValueError(f"level indices must satisfy 1 <= j < k, got ({j},{k})")
-    if k > min(shape.dim_a, shape.dim_b):
-        # The pair addresses generators on both subsystems, so k is capped by
-        # the smaller local dimension.
-        raise ValueError(
-            f"level pair ({j},{k}) exceeds min(M,N) = {min(shape.dim_a, shape.dim_b)}"
-        )
+def check_pair(pair, shape: BipartiteShape | None = None) -> tuple[int, int]:
+    """The level pair (j, k) as Python ints; ValueError unless it holds two
+    integers (numpy integers too) with 1 <= j < k, and, given a shape,
+    k <= min(M, N): the pair addresses levels on both subsystems."""
+    try:
+        j, k = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"level pair must be two integers, got {pair!r}") from None
+    if shape is None:
+        if not 1 <= j < k:
+            raise ValueError(f"level pair ({j}, {k}) must have 1 <= j < k")
+    elif not 1 <= j < k <= min(shape.dim_a, shape.dim_b):
+        raise ValueError(f"level pair ({j}, {k}) is not valid for shape {shape}")
+    return j, k
 
 
 def ketbra_triple(shape: BipartiteShape, j: int, k: int) -> WitnessTriple:
@@ -105,7 +111,7 @@ def ketbra_triple(shape: BipartiteShape, j: int, k: int) -> WitnessTriple:
 
     Reference form used to cross-check the generator-assembled constructions.
     """
-    _check_levels(shape, j, k)
+    j, k = check_pair((j, k), shape)
     n = shape.order
     jk, kj = shape.index(j, k), shape.index(k, j)
     jj, kk = shape.index(j, j), shape.index(k, k)
@@ -161,7 +167,7 @@ def build_triple_mxn(
     elementary operator, so boundary conventions (vanishing diagonal term at
     level 1, empty sums at the top level) come from ``ketbra_in_ggm``.
     """
-    _check_levels(shape, j, k)
+    j, k = check_pair((j, k), shape)
     if basis_a.dim != shape.dim_a or basis_b.dim != shape.dim_b:
         raise ValueError("basis dimensions must match the bipartite shape")
     y1 = tensor(ketbra_in_ggm(j, k, basis_a), ketbra_in_ggm(k, j, basis_b)) + tensor(
@@ -230,8 +236,7 @@ def _pair_block(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPai
     w the columns |jj>, |jk>, |kj>, |kk> of u (x) v. u and v may carry
     leading stack axes, which broadcast against each other.
     """
-    j, k = levels
-    _check_levels(rho.shape, j, k)
+    j, k = check_pair(levels, rho.shape)
     _check_uv(uv, rho.shape)
     u2, v2 = uv.u[..., j - 1 : k : k - j], uv.v[..., j - 1 : k : k - j]  # columns j, k
     # np.kron(u2, v2) written out: np.kron's own overhead exceeds the rest of the call.

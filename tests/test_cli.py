@@ -17,7 +17,8 @@ from entcert.dmfile import (
     read_density,
     write_density,
 )
-from entcert.search import FAMILY_PARAMS, SCAN_FAMILIES, scan_1d
+from entcert.search import SCAN_FAMILIES, scan_1d
+from entcert.states import FAMILY_PARAMS
 from entcert.witness import valid_pairs
 
 

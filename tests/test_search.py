@@ -18,7 +18,6 @@ from entcert import (
     valid_pairs,
 )
 from entcert.search import (
-    FAMILY_PARAMS,
     MAX_LINE_EVALS,
     SCAN_FAMILIES,
     WOLFE_C1,
@@ -31,6 +30,7 @@ from entcert.search import (
     _wolfe_step,
     minimize,
 )
+from entcert.states import FAMILY_PARAMS
 from entcert.witness import evaluate_pair
 
 
@@ -96,9 +96,12 @@ def test_generator_sum_is_the_tensordot_product():
 
 def test_search_config_validation():
     for bad in ({"restarts": 0}, {"seed": -1}, {"max_iters": 0}, {"pair": (2, 1)},
-                {"pair": (0, 1)}, {"pair": (1, 1)}):
+                {"pair": (0, 1)}, {"pair": (1, 1)}, {"pair": (1.7, 3)}, {"pair": (1, 2.9)},
+                {"pair": 3}, {"pair": (1, 2, 3)}, {"restarts": 2.5}, {"seed": 1.5}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
+    # numpy integers are integers; a fractional iteration cap stays valid
+    SearchConfig(restarts=np.int64(2), seed=np.int64(1), max_iters=2.5)
 
 
 def test_evaluate_at_identity_reports():
@@ -116,6 +119,10 @@ def test_evaluate_at_identity_reports():
     rep = evaluate_at_identity(ec.iso23(0.0))
     assert rep.verdict is Verdict.SEPARABLE
     assert rep.ppt_verdict.value == "separable"
+
+    # a non-integer pair is an error, not truncated to (1, 3)
+    with pytest.raises(ValueError, match="two integers"):
+        evaluate_at_identity(ec.horodecki33(5.0), (1.7, 3))
 
 
 def _singlet_on_levels_2_3():
@@ -448,6 +455,13 @@ def test_maximize_respects_pair_restriction():
     assert rep.best_pair == (1, 3)
     with pytest.raises(ValueError):
         maximize_violation(ec.werner(1.0), SearchConfig(pair=(1, 3)))
+    # numpy integers search the same pair and come back as Python ints,
+    # which JSON needs
+    rep_np = maximize_violation(
+        ec.horodecki33(5.0), SearchConfig(restarts=2, seed=0, pair=(np.int64(1), np.int64(3)))
+    )
+    assert rep_np == rep
+    assert all(type(x) is int for x in rep_np.best_pair)
 
 
 def test_scan_rows_and_values():
@@ -479,6 +493,8 @@ def test_scan_horodecki_zero_crossing():
 def test_scan_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         scan_1d("bogus", [0.1], [0.1])
+    with pytest.raises(ValueError, match="two integers"):
+        scan_1d("horodecki33", [4.0], [0.1], (1.7, 3))
 
 
 def test_scan_rows_match_per_point_reference():

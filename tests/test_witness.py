@@ -22,7 +22,7 @@ from entcert import (
     valid_pairs,
     werner,
 )
-from entcert.witness import evaluate_pair_grad
+from entcert.witness import check_pair, evaluate_pair_grad
 from conftest import cached_basis
 
 I3 = np.eye(3, dtype=complex)
@@ -50,6 +50,23 @@ def test_valid_pairs():
     assert valid_pairs(BipartiteShape(2, 2)) == ((1, 2),)
     assert valid_pairs(BipartiteShape(2, 5)) == ((1, 2),)
     assert valid_pairs(BipartiteShape(3, 4)) == ((1, 2), (1, 3), (2, 3))
+    # check_pair accepts exactly the valid pairs, and without a shape every 1 <= j < k
+    sh = BipartiteShape(3, 4)
+    grid = [(j, k) for j in range(-1, 6) for k in range(-1, 6)]
+    assert [p for p in grid if _accepts(p, sh)] == list(valid_pairs(sh))
+    assert [p for p in grid if _accepts(p)] == [(j, k) for j, k in grid if 1 <= j < k]
+    # numpy integers pass and come back as Python ints
+    for pair in ((np.int64(2), np.int64(3)), np.array([2, 3])):
+        got = check_pair(pair, sh)
+        assert got == (2, 3) and all(type(x) is int for x in got)
+    for bad in ((1.5, 3), (1, 3.0), 3, (1,), (1, 2, 3), "12", None):
+        with pytest.raises(ValueError, match="two integers"):
+            check_pair(bad)
+    # the two wordings the CLI prints
+    with pytest.raises(ValueError, match=r"^level pair \(2, 1\) must have 1 <= j < k$"):
+        check_pair((2, 1))
+    with pytest.raises(ValueError, match=r"^level pair \(2, 1\) is not valid for shape "):
+        check_pair((2, 1), sh)
 
 
 def test_triple_2x2_frozen_diagonals():
@@ -103,6 +120,14 @@ def test_triple_hermitian_and_projector_structure():
             assert np.linalg.eigvalsh(p)[0] > -1e-12
         proj = (t.y3 + t.y2) / 2
         assert np.abs(proj @ proj - proj).max() < 1e-12
+
+
+def _accepts(pair, shape=None) -> bool:
+    try:
+        check_pair(pair, shape)
+    except ValueError:
+        return False
+    return True
 
 
 def test_triple_level_errors():
@@ -209,6 +234,8 @@ def test_evaluate_errors():
         evaluate_pair(bad, (1, 2), LocalUnitaryPair.identity(sh22))
     with pytest.raises(ValueError):
         evaluate_pair(werner(0.5), (1, 3), LocalUnitaryPair.identity(sh22))
+    with pytest.raises(ValueError, match="two integers"):
+        evaluate_pair(werner(0.5), (1.7, 3), LocalUnitaryPair.identity(sh22))
     # the error names the largest residual: y2 picks up 0.1 - (-0.3)
     mat[3, 3] = 0.25 - 0.3j
     with pytest.raises(ValueError, match="imaginary residual 4.000e-01"):
