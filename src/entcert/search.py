@@ -254,7 +254,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:  # also rejects NaN, which no iteration count reaches
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -327,36 +327,32 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
     return LocalUnitaryPair(u, v)
 
 
-def _theta_grad(cot, levels, vals, vecs, stack) -> np.ndarray:
-    """Gradient over theta of f(u), u = exp(i sum_a theta_a g_a).
-
-    ``cot`` is f's cotangent on columns j, k of u (see
-    :func:`evaluate_pair_grad`), so df = Re Tr(G du) with G zero apart from
-    rows j, k, which hold cot^dag.
-    """
-    g = np.zeros((len(vals), len(vals)), dtype=complex)
-    g[[levels[0] - 1, levels[1] - 1]] = cot.conj().T
-    k = exp_pullback(g, vals, vecs)
-    return np.einsum("aij,ji->a", stack, k).real
-
-
 def _value_and_grad(rho, levels, x, stack_a, stack_b) -> tuple[float, np.ndarray]:
     """The violation at x = (theta_a, theta_b) and its gradient over x.
 
     u and v come from the same exponential as in :func:`build_unitaries`,
     so re-evaluating a point's certificate reproduces its value bit for bit.
+    f reads columns j, k of u and of v; :func:`exp_pullback` carries their
+    cotangents back to the exponent, whose coefficient on generator g_a is
+    Re Tr(g_a K).
     """
     na = len(stack_a)
-    u, vals_a, vecs_a = unitary_exp_eigen(_generator_sum(x[:na], stack_a))
-    v, vals_b, vecs_b = unitary_exp_eigen(_generator_sum(x[na:], stack_b))
+    cols = [levels[0] - 1, levels[1] - 1]
+    h_a, h_b = _generator_sum(x[:na], stack_a), _generator_sum(x[na:], stack_b)
+    if stack_a is stack_b:  # M = N (one cached stack): one exp and pullback serve both sides
+        (u, v), vals, vecs = unitary_exp_eigen(np.stack((h_a, h_b)))
+        y, gu, gv = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
+        k = exp_pullback(np.stack((gu, gv)), cols, vals, vecs)
+        return y.f, np.einsum("aij,sji->sa", stack_a, k).real.ravel()
+    u, vals_a, vecs_a = unitary_exp_eigen(h_a)
+    v, vals_b, vecs_b = unitary_exp_eigen(h_b)
     y, gu, gv = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
+    k_a = exp_pullback(gu, cols, vals_a, vecs_a)
+    k_b = exp_pullback(gv, cols, vals_b, vecs_b)
     grad = np.concatenate(
-        (
-            _theta_grad(gu, levels, vals_a, vecs_a, stack_a),
-            _theta_grad(gv, levels, vals_b, vecs_b, stack_b),
-        )
+        (np.einsum("aij,ji->a", stack_a, k_a), np.einsum("aij,ji->a", stack_b, k_b))
     )
-    return y.f, grad
+    return y.f, grad.real
 
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:

@@ -9,6 +9,7 @@ from entcert import (
     DensityMatrix,
     UnitaryParams,
     build_unitaries,
+    evaluate_at_identity,
     evaluate_pair,
     ppt_min_eigenvalue,
     valid_pairs,
@@ -52,3 +53,19 @@ def test_violation_implies_npt(case):
     assert ppt_min <= (y.y3 - np.hypot(y.y1, y.y2)) / 2 + 1e-12
     if y.f > VIOLATION_TOL:
         assert ppt_min < 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(state_and_point())
+def test_identity_report_invariant_under_swapping_subsystems(case):
+    """Swapping A and B (rho -> S rho S on shape (N, M)) exchanges |jk> and
+    |kj>, so a and b stay and c becomes its conjugate: f is unchanged. At
+    the identity every product with a column of w is exact, so the identity
+    reports agree exactly."""
+    rho, _, _ = case
+    m, n = rho.shape.dim_a, rho.shape.dim_b
+    swapped = rho.mat.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
+    rep = evaluate_at_identity(rho)
+    rep_swapped = evaluate_at_identity(DensityMatrix(BipartiteShape(n, m), swapped))
+    assert rep_swapped.best_f == rep.best_f
+    assert rep_swapped.best_pair == rep.best_pair

@@ -97,7 +97,8 @@ def test_generator_sum_is_the_tensordot_product():
 def test_search_config_validation():
     for bad in ({"restarts": 0}, {"seed": -1}, {"max_iters": 0}, {"pair": (2, 1)},
                 {"pair": (0, 1)}, {"pair": (1, 1)}, {"pair": (1.7, 3)}, {"pair": (1, 2.9)},
-                {"pair": 3}, {"pair": (1, 2, 3)}, {"restarts": 2.5}, {"seed": 1.5}):
+                {"pair": 3}, {"pair": (1, 2, 3)}, {"restarts": 2.5}, {"seed": 1.5},
+                {"max_iters": float("nan")}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
     # numpy integers are integers; a fractional iteration cap stays valid
