@@ -153,13 +153,20 @@ def format_scan_csv(rows) -> str:
     """CSV text of (param, p, f) rows, every value as ``%.16e``.
 
     A grid repeats each param and p value many times, so those two columns
-    are formatted once per distinct value; the text is the same as
-    formatting every entry.
+    are formatted once per distinct value, and the whole table then goes
+    through one ``%`` call; the text is the same as formatting every entry
+    row by row.
     """
+    columns = tuple(zip(*rows, strict=True))  # rows of unequal length raise
+    if not columns:
+        return "param,p,f\n"
+    a_col, p_col, f_col = columns
     coord = _CoordText()
-    out = ["param,p,f"]
-    out += [f"{coord[a]},{coord[p]},{f:.16e}" for a, p, f in rows]
-    return "\n".join(out) + "\n"
+    cells = [None] * (3 * len(f_col))
+    cells[0::3] = map(coord.__getitem__, a_col)
+    cells[1::3] = map(coord.__getitem__, p_col)
+    cells[2::3] = f_col
+    return "param,p,f\n" + ("%s,%s,%.16e\n" * len(f_col)) % tuple(cells)
 
 
 def write_scan_csv(rows, path) -> None:

@@ -44,6 +44,7 @@ from .witness import (
     classify_ppt,
     evaluate_pair,
     evaluate_pair_grad,
+    evaluate_pair_states,
     ppt_min_eigenvalue,
     valid_pairs,
 )
@@ -466,6 +467,14 @@ SCAN_FAMILIES = {
 }
 
 
+def _grid_axis(values, name: str) -> np.ndarray:
+    """One scan axis as a 1-D float array; ValueError for any other shape."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    return values
+
+
 def scan_1d(
     family: str,
     family_params,
@@ -475,25 +484,23 @@ def scan_1d(
     """Violation grid with u = rotation_u(p) on A and v = I on B.
 
     Rows are (family_param, p, f) with the family parameter as the outer
-    loop. The rotations for every p are built once, and each family
-    parameter takes one kernel call over that stack, so memory grows with
-    the number of p values, not with the grid. Pure arithmetic, no
-    randomness: identical inputs give identical tables.
+    loop. Per scan, the rotations for every p and the witness columns of
+    their stack are built once; per family parameter, the state is built
+    and contracted against those columns in one kernel call, so memory
+    grows with the number of p values, not with the grid. Pure arithmetic,
+    no randomness: identical inputs give identical tables.
     """
     if family not in SCAN_FAMILIES:
         raise ValueError(
             f"unknown family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
         )
     fn, shape = SCAN_FAMILIES[family]
-    pair = check_pair(pair, shape)
-    p_values = np.asarray(p_values, dtype=float)
-    if p_values.ndim != 1:
-        raise ValueError(f"p_values must be one-dimensional, got shape {p_values.shape}")
-    uv = LocalUnitaryPair(rotation_u(p_values, shape.dim_a), np.eye(shape.dim_b, dtype=complex))
+    a_list = _grid_axis(family_params, "family_params").tolist()
+    p_values = _grid_axis(p_values, "p_values")
     p_list = p_values.tolist()
+    uv = LocalUnitaryPair(rotation_u(p_values, shape.dim_a), np.eye(shape.dim_b, dtype=complex))
+    ys = evaluate_pair_states(shape, pair, uv, map(fn, a_list))
     rows = []
-    for a in family_params:
-        a = float(a)
-        f = evaluate_pair(fn(a), pair, uv).f
-        rows += zip([a] * len(p_list), p_list, f.tolist())
+    for a, y in zip(a_list, ys):
+        rows += zip([a] * len(p_list), p_list, y.f.tolist())
     return rows

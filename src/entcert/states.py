@@ -10,6 +10,7 @@ deterministic per seed (numpy PCG64 behind ``default_rng``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,18 +113,52 @@ def _check_param(family: str, value: float) -> None:
         raise ValueError(f"{family} parameter must be in [{lo:g}, {hi:g}], got {value}")
 
 
+@cache
+def _family_constants(family: str) -> tuple[np.ndarray, ...]:
+    """The parameter-free matrices of a named family, built once per process.
+
+    werner and iso23: (psi psi^dag, I); horodecki33: (psi+ psi+^dag, s+, s-).
+    The arrays are read-only, because every call shares them; the
+    constructors combine them into a new matrix each time.
+    """
+    if family == "werner":
+        shape = BipartiteShape(2, 2)
+        psi = np.zeros(4, dtype=complex)
+        psi[shape.index(1, 2)] = 1.0 / np.sqrt(2.0)
+        psi[shape.index(2, 1)] = -1.0 / np.sqrt(2.0)
+        mats = (np.outer(psi, psi.conj()), np.eye(4))
+    elif family == "iso23":
+        shape = BipartiteShape(2, 3)
+        psi = np.zeros(6, dtype=complex)
+        psi[shape.index(1, 1)] = 1.0 / np.sqrt(2.0)
+        psi[shape.index(2, 2)] = 1.0 / np.sqrt(2.0)
+        mats = (np.outer(psi, psi.conj()), np.eye(6))
+    elif family == "horodecki33":
+        shape = BipartiteShape(3, 3)
+        psi = np.zeros(9, dtype=complex)
+        for i in (1, 2, 3):
+            psi[shape.index(i, i)] = 1.0 / np.sqrt(3.0)
+        plus = np.zeros((9, 9), dtype=complex)
+        minus = np.zeros((9, 9), dtype=complex)
+        for i, l in ((1, 2), (2, 3), (3, 1)):
+            plus[shape.index(i, l), shape.index(i, l)] = 1.0 / 3.0
+            minus[shape.index(l, i), shape.index(l, i)] = 1.0 / 3.0
+        mats = (np.outer(psi, psi.conj()), plus, minus)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    for m in mats:
+        m.setflags(write=False)
+    return mats
+
+
 def werner(a: float) -> DensityMatrix:
     """Two-qubit Werner state a |psi-><psi-| + (1-a)/4 I, 0 <= a <= 1.
 
     |psi-> = (|12> - |21>)/sqrt(2). Entangled (NPT) exactly for a > 1/3.
     """
     _check_param("werner", a)
-    shape = BipartiteShape(2, 2)
-    psi = np.zeros(4, dtype=complex)
-    psi[shape.index(1, 2)] = 1.0 / np.sqrt(2.0)
-    psi[shape.index(2, 1)] = -1.0 / np.sqrt(2.0)
-    mat = a * np.outer(psi, psi.conj()) + (1.0 - a) / 4.0 * np.eye(4)
-    return DensityMatrix(shape, mat)
+    proj, eye = _family_constants("werner")
+    return DensityMatrix(BipartiteShape(2, 2), a * proj + (1.0 - a) / 4.0 * eye)
 
 
 def iso23(a: float) -> DensityMatrix:
@@ -132,12 +167,8 @@ def iso23(a: float) -> DensityMatrix:
     Entangled iff a > 1/4.
     """
     _check_param("iso23", a)
-    shape = BipartiteShape(2, 3)
-    psi = np.zeros(6, dtype=complex)
-    psi[shape.index(1, 1)] = 1.0 / np.sqrt(2.0)
-    psi[shape.index(2, 2)] = 1.0 / np.sqrt(2.0)
-    mat = a * np.outer(psi, psi.conj()) + (1.0 - a) / 6.0 * np.eye(6)
-    return DensityMatrix(shape, mat)
+    proj, eye = _family_constants("iso23")
+    return DensityMatrix(BipartiteShape(2, 3), a * proj + (1.0 - a) / 6.0 * eye)
 
 
 def horodecki33(alpha: float) -> DensityMatrix:
@@ -149,21 +180,9 @@ def horodecki33(alpha: float) -> DensityMatrix:
     free entangled (NPT) for 4 < alpha <= 5.
     """
     _check_param("horodecki33", alpha)
-    shape = BipartiteShape(3, 3)
-    psi = np.zeros(9, dtype=complex)
-    for i in (1, 2, 3):
-        psi[shape.index(i, i)] = 1.0 / np.sqrt(3.0)
-    plus = np.zeros((9, 9), dtype=complex)
-    minus = np.zeros((9, 9), dtype=complex)
-    for i, l in ((1, 2), (2, 3), (3, 1)):
-        plus[shape.index(i, l), shape.index(i, l)] = 1.0 / 3.0
-        minus[shape.index(l, i), shape.index(l, i)] = 1.0 / 3.0
-    mat = (
-        2.0 / 7.0 * np.outer(psi, psi.conj())
-        + alpha / 7.0 * plus
-        + (5.0 - alpha) / 7.0 * minus
-    )
-    return DensityMatrix(shape, mat)
+    proj, plus, minus = _family_constants("horodecki33")
+    mat = 2.0 / 7.0 * proj + alpha / 7.0 * plus + (5.0 - alpha) / 7.0 * minus
+    return DensityMatrix(BipartiteShape(3, 3), mat)
 
 
 def schmidt_pure(theta: float, shape: BipartiteShape) -> DensityMatrix:

@@ -11,6 +11,13 @@ and every separable state obeys y3^2 >= y1^2 + y2^2 for every local-unitary
 rotation of the triple. The violation f = y1^2 + y2^2 - y3^2 is therefore an
 entanglement certificate whenever it is positive. The partial-transpose
 oracle provides the independent cross-check.
+
+The pair kernel behind :func:`evaluate_pair` runs in two steps. The column
+step validates the pair and u, v and builds w, the columns |jj>, |jk>,
+|kj>, |kk> of u (x) v; it depends on the unitaries only. The contraction
+step forms w^dag rho w and reads off the y values; it is the only part
+that depends on the state. A scan over a family runs the column step once
+per scan and the contraction once per state (:func:`evaluate_pair_states`).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -229,31 +236,37 @@ def evaluate(rho: DensityMatrix, t: WitnessTriple, uv: LocalUnitaryPair) -> YVal
     return _real_values([np.einsum("ij,ji->", back, y) for y in (t.y1, t.y2, t.y3)])
 
 
-def _pair_block(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair):
-    """The kernel shared by :func:`evaluate_pair` and :func:`evaluate_pair_grad`.
+def _pair_columns(shape: BipartiteShape, levels, uv: LocalUnitaryPair):
+    """The state-independent half of a pair evaluation.
 
-    Returns the y values, columns j, k of u and v, and lw = w^dag rho with
-    w the columns |jj>, |jk>, |kj>, |kk> of u (x) v. u and v may carry
-    leading stack axes, which broadcast against each other.
+    Validates the pair and u, v against the shape. Returns ((u2, v2), cols):
+    columns j, k of u and of v, and the arguments :func:`_contract` takes
+    after the state, built from w, the columns |jj>, |jk>, |kj>, |kk> of
+    u (x) v. u and v may carry leading stack axes, which broadcast against
+    each other.
     """
-    j, k = check_pair(levels, rho.shape)
-    _check_uv(uv, rho.shape)
+    j, k = check_pair(levels, shape)
+    _check_uv(uv, shape)
     u2, v2 = uv.u[..., j - 1 : k : k - j], uv.v[..., j - 1 : k : k - j]  # columns j, k
     # np.kron(u2, v2) written out: np.kron's own overhead exceeds the rest of the call.
     w = u2[..., :, None, :, None] * v2[..., None, :, None, :]
-    w = w.reshape(w.shape[:-4] + (rho.shape.order, 4))
-    # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
+    w = w.reshape(w.shape[:-4] + (shape.order, 4))
     # One 2-D product over every slice's rows: a stacked matmul loops over
     # the slices. For a single pair of unitaries the reshape is a view.
     wd = w.conj().swapaxes(-1, -2)
-    lw = (wd.reshape(-1, rho.shape.order) @ rho.mat).reshape(wd.shape)
+    return (u2, v2), (w, wd.reshape(-1, shape.order), wd.shape)
+
+
+def _contract(mat: np.ndarray, w: np.ndarray, wd_rows: np.ndarray, lw_shape):
+    """The y values of one state matrix against prebuilt columns, and lw = w^dag rho."""
+    # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
+    lw = (wd_rows @ mat).reshape(lw_shape)
     # Transposed, the stack axes come last (reversed), so bt[t, s] holds
     # entry (s, t) of every slice: complex scalars for a single pair of
     # unitaries, arrays that .T puts back in stack order otherwise.
     bt = (lw @ w).T
     b00, b33 = bt[0, 0], bt[3, 3]
-    y = _real_values(((bt[2, 1] + bt[1, 2]).T, (b00 - b33).T, (b00 + b33).T))
-    return y, u2, v2, lw
+    return _real_values(((bt[2, 1] + bt[1, 2]).T, (b00 - b33).T, (b00 + b33).T)), lw
 
 
 def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair) -> YValues:
@@ -261,13 +274,37 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
 
     The elementary triple reads only the columns |jj>, |jk>, |kj>, |kk> of
     u (x) v. Every search path evaluates through this kernel, the search
-    itself through :func:`evaluate_pair_grad`, which shares it.
+    itself through :func:`evaluate_pair_grad`, which shares it, and
+    ``scan_1d`` through :func:`evaluate_pair_states`.
 
     u and v may carry leading stack axes, which broadcast against each
     other; y1, y2 and y3 are then float arrays over the broadcast stack,
     each slice equal bit for bit to its own single evaluation.
     """
-    return _pair_block(rho, levels, uv)[0]
+    _, cols = _pair_columns(rho.shape, levels, uv)
+    return _contract(rho.mat, *cols)[0]
+
+
+def evaluate_pair_states(
+    shape: BipartiteShape, levels: tuple[int, int], uv: LocalUnitaryPair, states
+) -> Iterator[YValues]:
+    """:func:`evaluate_pair` for each state of ``shape`` in turn, lazily.
+
+    The columns of u (x) v do not depend on the state, so they are built
+    (and the pair and u, v validated) once, here, and each state then costs
+    one contraction: two products and the y values, equal bit for bit to
+    its own :func:`evaluate_pair`. States are drawn one at a time, so memory
+    holds one state's products, not a stack over all states.
+    """
+    _, cols = _pair_columns(shape, levels, uv)
+
+    def each():
+        for rho in states:
+            if rho.shape != shape:
+                raise ValueError(f"state shape {rho.shape} does not match shape {shape}")
+            yield _contract(rho.mat, *cols)[0]
+
+    return each()
 
 
 def evaluate_pair_grad(
@@ -283,7 +320,8 @@ def evaluate_pair_grad(
     symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
     D[3,3] = -2 (y2 + y3). u and v are single matrices, not stacks.
     """
-    y, u2, v2, lw = _pair_block(rho, levels, uv)
+    (u2, v2), cols = _pair_columns(rho.shape, levels, uv)
+    y, lw = _contract(rho.mat, *cols)
     if lw.ndim != 2:
         raise ValueError("evaluate_pair_grad takes one unitary pair, not a stack")
     d = np.zeros((4, 4))

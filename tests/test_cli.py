@@ -243,6 +243,13 @@ def test_scan_csv_matches_per_row_formatting(tmp_path, capsys):
     assert format_scan_csv([]) == "param,p,f\n"
 
 
+def test_scan_csv_rejects_rows_that_are_not_triples():
+    for rows in ([(1.0, 2.0)], [(1.0, 2.0, 3.0, 4.0)], [(1.0, 2.0, 3.0), (1.0, 2.0)],
+                 [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)]):
+        with pytest.raises(ValueError):
+            format_scan_csv(rows)
+
+
 def test_scan_rejects_bad_grid(tmp_path, capsys):
     code, _, err = run(
         capsys, "scan", "werner", "--param-min", "-1", "--out", str(tmp_path / "x.csv")

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,7 @@ from entcert.search import (
     _wolfe_step,
     minimize,
 )
+from entcert.dmfile import read_density
 from entcert.states import FAMILY_PARAMS
 from entcert.witness import evaluate_pair
 
@@ -498,6 +503,16 @@ def test_scan_unknown_family():
         scan_1d("horodecki33", [4.0], [0.1], (1.7, 3))
 
 
+def test_scan_rejects_non_vector_grids():
+    # a string is one scalar, not a sequence of characters to scan
+    for bad in ([[0.1, 0.2], [0.3, 0.4]], 0.5, "1", "0.5"):
+        with pytest.raises(ValueError, match="family_params must be one-dimensional"):
+            scan_1d("werner", bad, [0.0, 1.0])
+        with pytest.raises(ValueError, match="p_values must be one-dimensional"):
+            scan_1d("werner", [0.5], bad)
+    assert scan_1d("werner", np.array([0.5]), ["0.25"]) == scan_1d("werner", [0.5], [0.25])
+
+
 def test_scan_rows_match_per_point_reference():
     """One kernel call per family parameter gives the rows of a per-point loop, bit for bit."""
     rng = np.random.default_rng(5)
@@ -527,3 +542,25 @@ def test_family_table_matches_constructors():
         for outside in (lo - 1e-6, hi + 1e-6):
             with pytest.raises(ValueError):
                 fn(outside)
+
+
+# sha256 of json.dumps([maximize_violation(rho, SearchConfig(seed=s)).to_dict()
+# for s in range(4)]) for each shipped state, as first recorded. A kernel
+# change that moves one bit of one report shows here.
+REPORT_DIGESTS = {
+    "horodecki33_3.5.dm": "545271221aa5239ccf0cfae506dddc199af46a5cca2dda31a429bf884c0a896b",
+    "iso23_0.0.dm": "d000619258c85b4068d19a0b1e3a206487c9e549b36b154b86371630864b0499",
+    "iso23_0.26.dm": "f402d5f4dc58dfe446ee58dc596ede234c39e19d58a20de5ed6381d22736398a",
+    "werner_0.5.dm": "f064fc6a2a8d6ffeca79cbf326b9b6d23308fa37a5672c732554e0f33b4fdac7",
+    "werner_1.0.dm": "0979687c36ed23c276256f87bed91c45395fcdd14642955ee611ebc480f42086",
+}
+
+
+def test_search_reports_pinned_on_shipped_states():
+    data = Path(__file__).resolve().parent.parent / "data"
+    got = {}
+    for path in sorted(data.glob("*.dm")):
+        rho = read_density(path)
+        reports = [maximize_violation(rho, SearchConfig(seed=s)).to_dict() for s in range(4)]
+        got[path.name] = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert got == REPORT_DIGESTS

@@ -14,6 +14,7 @@ from entcert import (
     schmidt_pure,
     werner,
 )
+from entcert.states import FAMILY_PARAMS, _family_constants
 
 
 def test_density_matrix_validation():
@@ -75,6 +76,45 @@ def test_horodecki_structure():
     assert abs(rho.mat[sh.index(1, 1), sh.index(2, 2)] - 2 / 21) < 1e-15
     assert abs(rho.mat[sh.index(1, 2), sh.index(1, 2)] - 3 / 21) < 1e-15
     assert abs(rho.mat[sh.index(2, 1), sh.index(2, 1)] - 2 / 21) < 1e-15
+
+
+def _written_out(family: str, x: float) -> np.ndarray:
+    """A family's matrix from its definition, every constant built afresh."""
+    if family == "horodecki33":
+        sh = BipartiteShape(3, 3)
+        psi = np.zeros(9, dtype=complex)
+        plus = np.zeros((9, 9), dtype=complex)
+        minus = np.zeros((9, 9), dtype=complex)
+        for i, l in ((1, 2), (2, 3), (3, 1)):
+            psi[sh.index(i, i)] = 1 / np.sqrt(3.0)
+            plus[sh.index(i, l), sh.index(i, l)] = 1 / 3
+            minus[sh.index(l, i), sh.index(l, i)] = 1 / 3
+        return 2 / 7 * np.outer(psi, psi.conj()) + x / 7 * plus + (5 - x) / 7 * minus
+    sh = BipartiteShape(2, 2) if family == "werner" else BipartiteShape(2, 3)
+    psi = np.zeros(sh.order, dtype=complex)
+    if family == "werner":
+        psi[sh.index(1, 2)], psi[sh.index(2, 1)] = 1 / np.sqrt(2.0), -1 / np.sqrt(2.0)
+    else:
+        psi[sh.index(1, 1)] = psi[sh.index(2, 2)] = 1 / np.sqrt(2.0)
+    return x * np.outer(psi, psi.conj()) + (1 - x) / sh.order * np.eye(sh.order)
+
+
+def test_family_constants_cached_read_only_and_unshared():
+    fns = {"werner": werner, "iso23": iso23, "horodecki33": horodecki33}
+    for family, fn in fns.items():
+        lo, hi = FAMILY_PARAMS[family].domain
+        for x in (lo, (lo + hi) / 2, hi):
+            assert fn(x).mat.tobytes() == _written_out(family, x).tobytes(), (family, x)
+        consts = _family_constants(family)
+        assert consts is _family_constants(family)
+        for m in consts:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+        first, second = fn(lo).mat, fn(lo).mat
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, m) for m in consts)
+    with pytest.raises(ValueError, match="unknown family"):
+        _family_constants("bogus")
 
 
 def test_schmidt_pure():

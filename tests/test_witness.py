@@ -22,7 +22,7 @@ from entcert import (
     valid_pairs,
     werner,
 )
-from entcert.witness import check_pair, evaluate_pair_grad
+from entcert.witness import check_pair, evaluate_pair_grad, evaluate_pair_states
 from conftest import cached_basis
 
 I3 = np.eye(3, dtype=complex)
@@ -300,6 +300,58 @@ def test_evaluate_pair_stack_matches_single_evaluations():
                     ):
                         empty = evaluate_pair(rho, pair, stacked)
                         assert empty.y1.shape == empty.y2.shape == empty.y3.shape == (0,)
+
+
+def test_pair_states_match_evaluate_pair():
+    """Columns built once and contracted per state give each state's own
+    evaluate_pair bits, for single and stacked unitaries on 2..4 x 2..4."""
+    rng = np.random.default_rng(13)
+    for m in range(2, 5):
+        for n in range(2, 5):
+            sh = BipartiteShape(m, n)
+            states = [ec.random_density(sh, seed=1000 + 10 * m + n + t) for t in range(3)]
+            us = [random_unitary_pair(sh, rng) for _ in range(4)]
+            u0, v0 = us[0]
+            for uv in (
+                us[1],
+                LocalUnitaryPair(np.stack([u.u for u in us]), v0),
+                LocalUnitaryPair(u0, np.stack([u.v for u in us])),
+                LocalUnitaryPair(np.stack([u.u for u in us]), np.stack([u.v for u in us])),
+            ):
+                for pair in valid_pairs(sh):
+                    got = list(evaluate_pair_states(sh, pair, uv, iter(states)))
+                    want = [evaluate_pair(rho, pair, uv) for rho in states]
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        for field in ("y1", "y2", "y3", "f"):
+                            assert _bits(getattr(g, field)) == _bits(getattr(w, field)), (sh, pair)
+
+
+def test_pair_states_checks_and_laziness():
+    sh22 = BipartiteShape(2, 2)
+    eye = LocalUnitaryPair.identity(sh22)
+    # the pair and the unitaries are checked when the columns are built,
+    # before any state is drawn
+    for pair, uv, match in (
+        ((1, 3), eye, "not valid"),
+        ((1.7, 3), eye, "two integers"),
+        ((1, 2), LocalUnitaryPair.identity(BipartiteShape(2, 3)), "do not match"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            evaluate_pair_states(sh22, pair, uv, iter(()))
+    with pytest.raises(ValueError, match="state shape"):
+        list(evaluate_pair_states(sh22, (1, 2), eye, [werner(0.5), ec.iso23(0.5)]))
+    drawn = []
+
+    def states():
+        for a in (0.2, 0.6):
+            drawn.append(a)
+            yield werner(a)
+
+    ys = evaluate_pair_states(sh22, (1, 2), eye, states())
+    assert drawn == []
+    assert next(ys) == evaluate_pair(werner(0.2), (1, 2), eye)
+    assert drawn == [0.2]
 
 
 def test_evaluate_pair_matches_reference_triples():
