@@ -69,9 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_make = sub.add_parser("make-state", help="write a named-family state")
     fam = p_make.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    for name, (_, shape) in SCAN_FAMILIES.items():
-        par = FAMILY_PARAMS[name]
-        f = fam.add_parser(name, help=f"{shape.dim_a}x{shape.dim_b} {par.title}")
+    for name, par in FAMILY_PARAMS.items():
+        f = fam.add_parser(name, help=f"{par.shape.dim_a}x{par.shape.dim_b} {par.title}")
         lo, hi = par.domain
         f.add_argument(f"--{par.name}", type=float, required=True,
                        help=f"{par.meaning} in [{lo:g}, {hi:g}]")
@@ -94,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(func=_cmd_detect)
 
     p_scan = sub.add_parser("scan", help="violation grid over (family param, p)")
-    p_scan.add_argument("family", choices=sorted(SCAN_FAMILIES))
+    p_scan.add_argument("family", choices=sorted(FAMILY_PARAMS))
     p_scan.add_argument("--param-min", type=float, default=None)
     p_scan.add_argument("--param-max", type=float, default=None)
     p_scan.add_argument("--param-steps", type=int, default=101)
@@ -199,9 +198,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except dmfile.DmParseError as exc:
-        print(f"entcert: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except OSError as exc:
         print(f"entcert: i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,12 +5,13 @@ orders stay tiny (<= 25), so the priorities are correctness and tight,
 testable contracts rather than speed. The two helpers only the search's
 gradient uses, :func:`unitary_exp_eigen` and :func:`exp_pullback`, also take
 leading stack axes, so both local factors of a square shape share one call.
-:func:`unitary_exp_eigen` does not re-check Hermiticity: the search feeds it
-generator sums, which are Hermitian by construction.
+:func:`unitary_exp_eigen` does not validate its input as :func:`unitary_exp`
+does: the search feeds it generator sums, which are Hermitian by construction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +21,20 @@ HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BipartiteShape:
-    """Local dimensions (dim_a, dim_b) of a bipartite system A x B."""
+    """Local dimensions (dim_a, dim_b) of a bipartite system A x B: integers
+    >= 2 (numpy integers too, stored as Python ints)."""
 
     dim_a: int
     dim_b: int
 
     def __post_init__(self):
+        try:  # as check_pair does for level pairs
+            for name in ("dim_a", "dim_b"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ValueError(f"local dimensions must be integers, got {self}") from None
         if self.dim_a < 2 or self.dim_b < 2:
-            raise ValueError(
-                f"local dimensions must be >= 2, got {self.dim_a}x{self.dim_b}"
-            )
+            raise ValueError(f"local dimensions must be >= 2, got {self.dim_a}x{self.dim_b}")
 
     @property
     def order(self) -> int:
@@ -55,6 +60,8 @@ def _require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def _require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = _require_square(m, what)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{what} not Hermitian (deviation {dev:.3e})")
@@ -95,7 +102,7 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns). The input must be
-    Hermitian within HERMITICITY_TOL and is symmetrized as (h + h^dag)/2
+    finite and Hermitian within HERMITICITY_TOL and is symmetrized as (h + h^dag)/2
     before decomposition to absorb roundoff.
     """
     return _symmetrized_eigh(_require_hermitian(h))
@@ -121,7 +128,7 @@ def unitary_exp_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def unitary_exp(h: np.ndarray) -> np.ndarray:
-    """exp(i*h) for Hermitian h, via eigendecomposition."""
+    """exp(i*h) for finite Hermitian h, via eigendecomposition."""
     return unitary_exp_eigen(_require_hermitian(h))[0]
 
 

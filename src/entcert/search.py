@@ -31,9 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import states
 from .ggm import build_basis
 from .linalg import BipartiteShape, exp_pullback, unitary_exp, unitary_exp_eigen
-from .states import DensityMatrix, horodecki33, iso23, rotation_u, werner
+from .states import FAMILY_PARAMS, DensityMatrix, rotation_u
 from .witness import (
     LocalUnitaryPair,
     PptVerdict,
@@ -460,18 +461,17 @@ def maximize_violation(
     return _report(rho, pair, params, y, evaluations)
 
 
-SCAN_FAMILIES = {
-    "werner": (werner, BipartiteShape(2, 2)),
-    "iso23": (iso23, BipartiteShape(2, 3)),
-    "horodecki33": (horodecki33, BipartiteShape(3, 3)),
-}
+# Each named family's constructor (named after it in ``states``) and shape.
+SCAN_FAMILIES = {name: (getattr(states, name), row.shape) for name, row in FAMILY_PARAMS.items()}
 
 
 def _grid_axis(values, name: str) -> np.ndarray:
-    """One scan axis as a 1-D float array; ValueError for any other shape."""
+    """One scan axis as a 1-D finite float array; ValueError for anything else."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has non-finite entries")
     return values
 
 

@@ -39,8 +39,6 @@ class DensityMatrix:
                 f"matrix order {mat.shape[0]} does not match "
                 f"{self.shape.dim_a}x{self.shape.dim_b}"
             )
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix has non-finite entries")
         _require_hermitian(mat, "density matrix")
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
@@ -68,14 +66,15 @@ class SeparableEnsemble:
         w = np.asarray(self.weights, dtype=float)
         if len(self.factors) != w.size:
             raise ValueError("one factor pair per weight required")
-        if w.size == 0 or (w < 0).any() or (w > 1).any():
+        # every comparison is written so that NaN fails it
+        if w.size == 0 or not ((w >= 0) & (w <= 1)).all():
             raise ValueError("weights must lie in [0, 1]")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum():.15g}, not 1")
         for va, vb in self.factors:
             if va.shape != (self.shape.dim_a,) or vb.shape != (self.shape.dim_b,):
                 raise ValueError("factor vector dimensions do not match shape")
-            if abs(np.linalg.norm(va) - 1.0) > 1e-12 or abs(np.linalg.norm(vb) - 1.0) > 1e-12:
+            if not all(abs(np.linalg.norm(x) - 1.0) <= 1e-12 for x in (va, vb)):
                 raise ValueError("factor vectors must be unit norm")
 
     def assemble(self) -> DensityMatrix:
@@ -89,28 +88,35 @@ class SeparableEnsemble:
 
 
 class FamilyParam(NamedTuple):
-    """The rest of a named family's entry: what the family is, the name and
+    """A named family's entry: what the family is, its shape, the name and
     meaning of its parameter, and the parameter's closed domain."""
 
     title: str
+    shape: BipartiteShape
     name: str
     meaning: str
     domain: tuple[float, float]
 
 
-# The one home of each family's domain: the constructors check against it,
-# and the CLI builds ``make-state`` and the ``scan`` grid bounds from it.
+# The one registry of named families: the constructors read their shape and
+# domain here, ``search.SCAN_FAMILIES`` is derived from it, and the CLI
+# builds ``make-state`` and the ``scan`` grid bounds from it.
 FAMILY_PARAMS = {
-    "werner": FamilyParam("Werner state", "a", "mixing weight", (0.0, 1.0)),
-    "iso23": FamilyParam("isotropic-type mixture", "a", "mixing weight", (0.0, 1.0)),
-    "horodecki33": FamilyParam("Horodecki family", "alpha", "parameter", (2.0, 5.0)),
+    "werner": FamilyParam("Werner state", BipartiteShape(2, 2), "a", "mixing weight", (0.0, 1.0)),
+    "iso23": FamilyParam("isotropic-type mixture", BipartiteShape(2, 3), "a", "mixing weight", (0.0, 1.0)),
+    "horodecki33": FamilyParam("Horodecki family", BipartiteShape(3, 3), "alpha", "parameter", (2.0, 5.0)),
 }
 
 
-def _check_param(family: str, value: float) -> None:
-    lo, hi = FAMILY_PARAMS[family].domain
-    if not lo <= value <= hi:
+def _family_shape(family: str, value: float | None = None) -> BipartiteShape:
+    """``family``'s shape; ValueError for an unknown family or a ``value`` outside its domain."""
+    row = FAMILY_PARAMS.get(family)
+    if row is None:
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = row.domain
+    if value is not None and not lo <= value <= hi:
         raise ValueError(f"{family} parameter must be in [{lo:g}, {hi:g}], got {value}")
+    return row.shape
 
 
 @cache
@@ -121,31 +127,25 @@ def _family_constants(family: str) -> tuple[np.ndarray, ...]:
     The arrays are read-only, because every call shares them; the
     constructors combine them into a new matrix each time.
     """
+    shape = _family_shape(family)
+    psi = np.zeros(shape.order, dtype=complex)
     if family == "werner":
-        shape = BipartiteShape(2, 2)
-        psi = np.zeros(4, dtype=complex)
         psi[shape.index(1, 2)] = 1.0 / np.sqrt(2.0)
         psi[shape.index(2, 1)] = -1.0 / np.sqrt(2.0)
-        mats = (np.outer(psi, psi.conj()), np.eye(4))
+        mats = (np.outer(psi, psi.conj()), np.eye(shape.order))
     elif family == "iso23":
-        shape = BipartiteShape(2, 3)
-        psi = np.zeros(6, dtype=complex)
         psi[shape.index(1, 1)] = 1.0 / np.sqrt(2.0)
         psi[shape.index(2, 2)] = 1.0 / np.sqrt(2.0)
-        mats = (np.outer(psi, psi.conj()), np.eye(6))
-    elif family == "horodecki33":
-        shape = BipartiteShape(3, 3)
-        psi = np.zeros(9, dtype=complex)
+        mats = (np.outer(psi, psi.conj()), np.eye(shape.order))
+    else:  # horodecki33
         for i in (1, 2, 3):
             psi[shape.index(i, i)] = 1.0 / np.sqrt(3.0)
-        plus = np.zeros((9, 9), dtype=complex)
-        minus = np.zeros((9, 9), dtype=complex)
+        plus = np.zeros((shape.order, shape.order), dtype=complex)
+        minus = np.zeros_like(plus)
         for i, l in ((1, 2), (2, 3), (3, 1)):
             plus[shape.index(i, l), shape.index(i, l)] = 1.0 / 3.0
             minus[shape.index(l, i), shape.index(l, i)] = 1.0 / 3.0
         mats = (np.outer(psi, psi.conj()), plus, minus)
-    else:
-        raise ValueError(f"unknown family {family!r}")
     for m in mats:
         m.setflags(write=False)
     return mats
@@ -156,9 +156,9 @@ def werner(a: float) -> DensityMatrix:
 
     |psi-> = (|12> - |21>)/sqrt(2). Entangled (NPT) exactly for a > 1/3.
     """
-    _check_param("werner", a)
+    shape = _family_shape("werner", a)
     proj, eye = _family_constants("werner")
-    return DensityMatrix(BipartiteShape(2, 2), a * proj + (1.0 - a) / 4.0 * eye)
+    return DensityMatrix(shape, a * proj + (1.0 - a) / 4.0 * eye)
 
 
 def iso23(a: float) -> DensityMatrix:
@@ -166,9 +166,9 @@ def iso23(a: float) -> DensityMatrix:
 
     Entangled iff a > 1/4.
     """
-    _check_param("iso23", a)
+    shape = _family_shape("iso23", a)
     proj, eye = _family_constants("iso23")
-    return DensityMatrix(BipartiteShape(2, 3), a * proj + (1.0 - a) / 6.0 * eye)
+    return DensityMatrix(shape, a * proj + (1.0 - a) / 6.0 * eye)
 
 
 def horodecki33(alpha: float) -> DensityMatrix:
@@ -179,10 +179,10 @@ def horodecki33(alpha: float) -> DensityMatrix:
     Separable for 2 <= alpha <= 3, bound entangled (PPT) for 3 < alpha <= 4,
     free entangled (NPT) for 4 < alpha <= 5.
     """
-    _check_param("horodecki33", alpha)
+    shape = _family_shape("horodecki33", alpha)
     proj, plus, minus = _family_constants("horodecki33")
     mat = 2.0 / 7.0 * proj + alpha / 7.0 * plus + (5.0 - alpha) / 7.0 * minus
-    return DensityMatrix(BipartiteShape(3, 3), mat)
+    return DensityMatrix(shape, mat)
 
 
 def schmidt_pure(theta: float, shape: BipartiteShape) -> DensityMatrix:

@@ -138,8 +138,6 @@ def build_triple_2xd(d: int, basis2: GellMannBasis, basisd: GellMannBasis) -> Wi
     role of the population difference), the d side in explicit diagonal-sum
     expansions of the level-1 and level-2 projectors.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
     if basis2.dim != 2 or basisd.dim != d:
         raise ValueError("basis dimensions must be 2 and d")
     sx, sy, sz = basis2.sym(1, 2), basis2.asym(1, 2), basis2.diag(1)

@@ -74,3 +74,25 @@ def test_search_calls_minimize_through_the_module(monkeypatch):
         assert len(starts) == expected_starts
         assert len(calls) == traced.evaluations
         assert traced == plain[cfg]
+
+
+def test_scan_and_make_state_reach_constructors_through_scan_families(monkeypatch, tmp_path):
+    # The tracer times family constructors by swapping the entries of
+    # search.SCAN_FAMILIES; scan_1d and make-state must look them up there.
+    search = importlib.import_module("entcert.search")
+    cli = importlib.import_module("entcert.cli")
+    fn, shape = search.SCAN_FAMILIES["werner"]
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return fn(a)
+
+    monkeypatch.setitem(search.SCAN_FAMILIES, "werner", (counting, shape))
+    search.scan_1d("werner", [0.25, 0.75], [0.0, 1.0])
+    assert calls == [0.25, 0.75]
+    calls.clear()
+    out = tmp_path / "w.dm"
+    assert cli.main(["make-state", "werner", "--a", "0.5", "--out", str(out)]) == 0
+    assert calls == [0.5]
+    assert out.exists()

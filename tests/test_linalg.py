@@ -28,6 +28,13 @@ def test_shape_validation():
     assert sh.index(2, 3) == 5
     with pytest.raises(ValueError):
         sh.index(3, 1)
+    for dims in ((2.5, 3), (2.0, 2.0), (2, "3"), (None, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            BipartiteShape(*dims)
+    sh = BipartiteShape(np.int64(3), np.int32(3))
+    assert type(sh.dim_a) is int and type(sh.dim_b) is int
+    assert sh == BipartiteShape(3, 3)
+    assert repr(sh) == "BipartiteShape(dim_a=3, dim_b=3)"
 
 
 def test_tensor_identity_and_diagonal():
@@ -179,6 +186,16 @@ def test_unitary_exp_unitarity_random():
 def test_unitary_exp_rejects_non_hermitian():
     with pytest.raises(ValueError):
         unitary_exp(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validated_entry_points_reject_non_finite_input(bad):
+    # Checked before the Hermiticity deviation, so inf - inf never warns
+    # (warnings are errors in this suite).
+    for fn in (hermitian_eigen, unitary_exp):
+        for h in (np.full((2, 2), bad), np.diag([0.0, bad])):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                fn(h)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

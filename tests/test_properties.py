@@ -1,6 +1,7 @@
 """Property tests of invariants that follow from the theory."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +12,19 @@ from entcert import (
     build_unitaries,
     evaluate_at_identity,
     evaluate_pair,
+    horodecki33,
+    iso23,
+    maximize_violation,
     ppt_min_eigenvalue,
+    random_density,
+    tensor,
+    unitary_exp,
     valid_pairs,
+    werner,
 )
+from entcert.search import F_RTOL
 from entcert.witness import VIOLATION_TOL
+from conftest import random_hermitian
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
 _angle = st.floats(-np.pi, np.pi, allow_nan=False)
@@ -69,3 +79,34 @@ def test_identity_report_invariant_under_swapping_subsystems(case):
     rep_swapped = evaluate_at_identity(DensityMatrix(BipartiteShape(n, m), swapped))
     assert rep_swapped.best_f == rep.best_f
     assert rep_swapped.best_pair == rep.best_pair
+
+
+_LU_STATES = {
+    "werner(1)": lambda: werner(1.0),
+    "werner(0.5)": lambda: werner(0.5),
+    "werner(0.2)": lambda: werner(0.2),
+    "iso23(1)": lambda: iso23(1.0),
+    "iso23(0.26)": lambda: iso23(0.26),
+    "horodecki33(5)": lambda: horodecki33(5.0),
+    **{f"random 2x3 #{s}": (lambda s=s: random_density(BipartiteShape(2, 3), s)) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(_LU_STATES))
+def test_search_invariant_under_local_unitaries(seed, name):
+    """rho' = (U x V) rho (U x V)^dag at (u, v) gives the y values of rho at
+    (U^dag u, V^dag v), so both searches maximize one function over
+    SU(M) x SU(N), from different starts, and must agree on the verdict.
+    Each start stops once an iteration gains less than F_RTOL * max(|f|, 1);
+    near a maximum L-BFGS converges superlinearly, so the last gain bounds
+    how far short of the maximum a search stops. Ten times that bound, for
+    either search, is the tolerance on best_f."""
+    rho = _LU_STATES[name]()
+    rng = np.random.default_rng(seed)
+    m, n = rho.shape.dim_a, rho.shape.dim_b
+    w = tensor(unitary_exp(random_hermitian(rng, m)), unitary_exp(random_hermitian(rng, n)))
+    moved = DensityMatrix(rho.shape, w @ rho.mat @ w.conj().T)
+    rep, rep_moved = maximize_violation(rho), maximize_violation(moved)
+    assert rep_moved.verdict == rep.verdict
+    tol = 10 * F_RTOL * max(abs(rep.best_f), 1.0)
+    assert abs(rep_moved.best_f - rep.best_f) <= tol, (rep.best_f, rep_moved.best_f)

@@ -513,6 +513,14 @@ def test_scan_rejects_non_vector_grids():
     assert scan_1d("werner", np.array([0.5]), ["0.25"]) == scan_1d("werner", [0.5], [0.25])
 
 
+def test_scan_rejects_non_finite_grids():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="p_values has non-finite entries"):
+            scan_1d("werner", [1.0], [0.0, bad])
+        with pytest.raises(ValueError, match="family_params has non-finite entries"):
+            scan_1d("werner", [0.5, bad], [0.0])
+
+
 def test_scan_rows_match_per_point_reference():
     """One kernel call per family parameter gives the rows of a per-point loop, bit for bit."""
     rng = np.random.default_rng(5)

@@ -27,6 +27,9 @@ def test_density_matrix_validation():
         DensityMatrix(sh, np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex))
     with pytest.raises(ValueError, match="order"):
         DensityMatrix(BipartiteShape(2, 3), np.eye(4, dtype=complex) / 4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            DensityMatrix(sh, np.diag([bad, 0.5, 0.25, 0.25]).astype(complex))
     dm = DensityMatrix(sh, np.eye(4, dtype=complex) / 4)
     assert not dm.mat.flags.writeable
 
@@ -180,3 +183,11 @@ def test_separable_ensemble_validation():
         SeparableEnsemble(sh, (0.5, 0.4), ((e0, e0), (e0, e0)))
     with pytest.raises(ValueError, match="unit norm"):
         SeparableEnsemble(sh, (1.0,), ((2 * e0, e0),))
+    # NaN fails every comparison, so the checks are written to reject it
+    nan_vec = np.array([np.nan, 0], dtype=complex)
+    for weights in ((np.nan,), (1.0, np.nan)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SeparableEnsemble(sh, weights, ((e0, e0),) * len(weights))
+    for factors in (((nan_vec, e0),), ((e0, nan_vec),)):
+        with pytest.raises(ValueError, match="unit norm"):
+            SeparableEnsemble(sh, (1.0,), factors)
