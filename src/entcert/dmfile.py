@@ -116,8 +116,22 @@ def parse_density(text: str) -> DensityMatrix:
 
 
 def read_density(path) -> DensityMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_density(fh.read())
+    """Read, parse and validate a ``dm v1`` file; a byte that is not ASCII
+    is a :class:`DmParseError` at its line and column."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # The decoder's offset is relative to the chunk it was reading, so
+        # the file is read again, as bytes, to place the first bad byte.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = re.search(rb"[\x80-\xff]", data).start()
+        # A stand-in for the bad byte ends the last line; splitlines breaks
+        # lines as reading in text mode and parse_density do.
+        lines = (data[:at] + b"?").decode("ascii").splitlines()
+        raise DmParseError(f"non-ASCII byte 0x{data[at]:02x}", len(lines), len(lines[-1])) from None
+    return parse_density(text)
 
 
 def format_basis(basis: GellMannBasis) -> str:

@@ -5,6 +5,10 @@ orders stay tiny (<= 25), so the priorities are correctness and tight,
 testable contracts rather than speed. The two helpers only the search's
 gradient uses, :func:`unitary_exp_eigen` and :func:`exp_pullback`, also take
 leading stack axes, so both local factors of a square shape share one call.
+They run once per search evaluation, so they avoid numpy conveniences whose
+Python overhead outweighs their arithmetic on such small matrices:
+:func:`exp_pullback` writes ``np.sinc`` out in its own steps, with the same
+rounding, and reads its columns through a slice without a copy.
 :func:`unitary_exp_eigen` does not validate its input as :func:`unitary_exp`
 does: the search feeds it generator sums, which are Hermitian by construction.
 """
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,9 @@ def unitary_exp(h: np.ndarray) -> np.ndarray:
 def exp_pullback(cot: np.ndarray, cols, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Derivative with respect to Hermitian h of a function of some columns of exp(i h).
 
-    ``cols`` are the column indices (0-based) the function reads and ``cot``
-    (n x len(cols)) its cotangent on them, so the function changes by
+    ``cols`` indexes the columns (0-based) the function reads, as a list or
+    a slice (a slice selects them without a copy), and ``cot``
+    (n x len(cols)) is its cotangent on them, so the function changes by
     Re Tr(cot^dag dU[:, cols]) when U = exp(i h) changes by dU. ``vals``,
     ``vecs`` are the eigendecomposition of h (from
     :func:`unitary_exp_eigen`). Returns K with
@@ -151,10 +157,13 @@ def exp_pullback(cot: np.ndarray, cols, vals: np.ndarray, vecs: np.ndarray) -> n
     Gamma_pq = exp(i (l_p + l_q)/2) sinc((l_p - l_q)/2),
     so equal eigenvalues (h = 0, say) need no special case. G's zero rows
     are never formed: V^dag G is V^dag's columns ``cols`` times cot^dag.
+    The sinc is ``np.sinc((hp - hq) / pi)`` written out step by step, which
+    rounds the same without that function's Python overhead.
     """
     half = vals / 2
     hp, hq = half[..., :, None], half[..., None, :]
-    # np.sinc(x) is sin(pi x)/(pi x)
-    gamma = np.exp(1j * (hp + hq)) * np.sinc((hp - hq) / np.pi)
+    t = np.pi * ((hp - hq) / np.pi)
+    t = np.where(t, t, EPS)  # np.sinc's guard: sin(t)/t is 1 at t = 0
+    gamma = np.exp(1j * (hp + hq)) * (np.sin(t) / t)
     vh = vecs.conj().swapaxes(-1, -2)
     return vecs @ (1j * gamma * (vh[..., cols] @ cot.conj().swapaxes(-1, -2) @ vecs)) @ vh

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import states
 from .ggm import build_basis
-from .linalg import BipartiteShape, exp_pullback, unitary_exp, unitary_exp_eigen
+from .linalg import EPS, BipartiteShape, exp_pullback, unitary_exp, unitary_exp_eigen
 from .states import FAMILY_PARAMS, DensityMatrix, rotation_u
 from .witness import (
     LocalUnitaryPair,
@@ -60,7 +60,6 @@ WOLFE_C1 = 1e-4  # sufficient decrease
 WOLFE_C2 = 0.9  # curvature, on |slope| (strong Wolfe)
 MAX_LINE_EVALS = 20  # evaluations one line search may spend
 EXTRAPOLATE = 4.0  # step growth while the line search has no upper bracket
-EPS = np.finfo(float).eps
 F_RTOL = 1e7 * EPS  # stop when an iteration lowers f by less, relatively
 GTOL = 1e-7  # a search start has converged once max|gradient| <= GTOL
 
@@ -329,32 +328,56 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
     return LocalUnitaryPair(u, v)
 
 
-def _value_and_grad(rho, levels, x, stack_a, stack_b) -> tuple[float, np.ndarray]:
-    """The violation at x = (theta_a, theta_b) and its gradient over x.
+def _evaluator(rho: DensityMatrix, levels: tuple[int, int]):
+    """The search's objective: a function of x = (theta_a, theta_b) that
+    returns the violation there and its gradient over x.
 
-    u and v come from the same exponential as in :func:`build_unitaries`,
-    so re-evaluating a point's certificate reproduces its value bit for bit.
-    f reads columns j, k of u and of v; :func:`exp_pullback` carries their
-    cotangents back to the exponent, whose coefficient on generator g_a is
-    Re Tr(g_a K).
+    Built once per search, so each call is arithmetic only: the generator
+    stacks are flattened, the square or non-square branch is chosen and the
+    column slice is formed here. u and v come from the same exponential as
+    in :func:`build_unitaries`, so re-evaluating a point's certificate
+    reproduces its value bit for bit. f reads columns j, k of u and of v;
+    :func:`exp_pullback` carries their cotangents back to the exponent, whose
+    coefficient on generator g_a is Re Tr(g_a K). The gradient is a
+    C-contiguous float64 vector: a strided one would round ``g @ d`` in the
+    optimizer differently. ``unitary_exp_eigen``, ``evaluate_pair_grad`` and
+    ``exp_pullback`` are looked up in this module on every call, where
+    callers can wrap them.
     """
+    m, n = rho.shape.dim_a, rho.shape.dim_b
+    stack_a, stack_b = _generator_stack(m), _generator_stack(n)
     na = len(stack_a)
-    cols = [levels[0] - 1, levels[1] - 1]
-    h_a, h_b = _generator_sum(x[:na], stack_a), _generator_sum(x[na:], stack_b)
-    if stack_a is stack_b:  # M = N (one cached stack): one exp and pullback serve both sides
-        (u, v), vals, vecs = unitary_exp_eigen(np.stack((h_a, h_b)))
+    # _generator_sum's np.dot, on stacks flattened once
+    flat_a, flat_b = stack_a.reshape(na, -1), stack_b.reshape(len(stack_b), -1)
+    j, k = levels
+    cols = slice(j - 1, k, k - j)  # columns j, k
+
+    if m == n:  # one cached stack: one exp and pullback serve both sides
+        h = np.empty((2, n, n), dtype=complex)
+        h_rows = h.reshape(2, 1, n * n)
+        cot = np.empty((2, n, 2), dtype=complex)
+
+        def value_and_grad(x):
+            np.dot(x[None, :na], flat_a, out=h_rows[0])
+            np.dot(x[None, na:], flat_a, out=h_rows[1])
+            (u, v), vals, vecs = unitary_exp_eigen(h)
+            y, cot[0], cot[1] = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
+            pull = exp_pullback(cot, cols, vals, vecs)
+            return y.f, np.einsum("aij,sji->sa", stack_a, pull).real.ravel()
+
+        return value_and_grad
+
+    def value_and_grad(x):
+        u, vals_a, vecs_a = unitary_exp_eigen(np.dot(x[None, :na], flat_a).reshape(m, m))
+        v, vals_b, vecs_b = unitary_exp_eigen(np.dot(x[None, na:], flat_b).reshape(n, n))
         y, gu, gv = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
-        k = exp_pullback(np.stack((gu, gv)), cols, vals, vecs)
-        return y.f, np.einsum("aij,sji->sa", stack_a, k).real.ravel()
-    u, vals_a, vecs_a = unitary_exp_eigen(h_a)
-    v, vals_b, vecs_b = unitary_exp_eigen(h_b)
-    y, gu, gv = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
-    k_a = exp_pullback(gu, cols, vals_a, vecs_a)
-    k_b = exp_pullback(gv, cols, vals_b, vecs_b)
-    grad = np.concatenate(
-        (np.einsum("aij,ji->a", stack_a, k_a), np.einsum("aij,ji->a", stack_b, k_b))
-    )
-    return y.f, grad.real
+        pull_a = exp_pullback(gu, cols, vals_a, vecs_a)
+        pull_b = exp_pullback(gv, cols, vals_b, vecs_b)
+        return y.f, np.concatenate(
+            (np.einsum("aij,ji->a", stack_a, pull_a).real, np.einsum("aij,ji->a", stack_b, pull_b).real)
+        )
+
+    return value_and_grad
 
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:
@@ -418,8 +441,8 @@ def maximize_violation(
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
     pair = check_pair(cfg.pair or (1, 2), shape)
-    stack_a, stack_b = _generator_stack(shape.dim_a), _generator_stack(shape.dim_b)
-    na, nb = len(stack_a), len(stack_b)
+    na, nb = shape.dim_a**2 - 1, shape.dim_b**2 - 1
+    evaluate = _evaluator(rho, pair)
     evaluations = 0
     best = None  # (f, x)
     last = (None, 0.0, None)  # one-slot cache: (x bytes, f, gradient)
@@ -430,7 +453,7 @@ def maximize_violation(
         nonlocal last
         key = x.tobytes()
         if last[0] != key:
-            last = (key, *_value_and_grad(rho, pair, x, stack_a, stack_b))
+            last = (key, *evaluate(x))
         return last[1], last[2]
 
     def neg_f(x) -> float:

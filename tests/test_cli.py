@@ -273,6 +273,24 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
         parse_density("dm v2\n")
     assert exc_info.value.line == 1
 
+    # A byte that is not ASCII is a syntax error at its own line and column,
+    # with CRLF line ends and far past the decoder's first chunk too.
+    row = "0.25,0.0 0,0 0,0 0,0"
+    for name, raw, line, col, byte in (
+        ("latin1.dm", b"dm v1\ndims 2 2\n0.25,0\xa8 0,0 0,0 0,0\n", 3, 7, 0xA8),
+        ("crlf.dm", b"dm v1\r\ndims 2 2\r\n" + f"{row}\r\n".encode() * 2 + b"0,0 \xff\r\n", 5, 5, 0xFF),
+        ("long.dm", b"dm v1\ndims 2 2\n" + f"{row}{' ' * 5000}\n".encode() * 3
+         + b"0,0 0,0 0,0 0.25,\xc3\xa9\n", 6, 18, 0xC3),
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(raw)
+        with pytest.raises(DmParseError) as exc_info:
+            read_density(bad)
+        assert (exc_info.value.line, exc_info.value.col) == (line, col), name
+        code, _, err = run(capsys, "ppt", str(bad))
+        assert code == 4
+        assert f"line {line}, column {col}: non-ASCII byte 0x{byte:02x}" in err, name
+
     # a header asking for more rows than the file has fails before the
     # matrix is allocated (9e6 x 9e6 here), as an input error
     huge = tmp_path / "huge.dm"

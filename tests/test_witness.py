@@ -250,8 +250,12 @@ def test_evaluate_errors():
         evaluate_pair(bad, (1, 2), LocalUnitaryPair(np.stack([swap, eye, swap]), eye))
     with pytest.raises(ValueError, match="do not match"):
         evaluate_pair(werner(0.5), (1, 2), LocalUnitaryPair(np.zeros((3, 3, 3)), eye))
-    with pytest.raises(ValueError, match="not a stack"):
-        evaluate_pair_grad(werner(0.5), (1, 2), LocalUnitaryPair(np.stack([eye, eye]), eye))
+    # A stack is refused before any product is formed: stacks of 3 and 2
+    # slices would not even broadcast against each other.
+    for u, v in ((np.stack([eye, eye]), eye), (eye, np.stack([eye, eye])),
+                 (np.stack([eye] * 3), np.stack([eye] * 2))):
+        with pytest.raises(ValueError, match="not a stack"):
+            evaluate_pair_grad(werner(0.5), (1, 2), LocalUnitaryPair(u, v))
 
 
 def _bits(x) -> bytes:
@@ -300,6 +304,21 @@ def test_evaluate_pair_stack_matches_single_evaluations():
                     ):
                         empty = evaluate_pair(rho, pair, stacked)
                         assert empty.y1.shape == empty.y2.shape == empty.y3.shape == (0,)
+
+
+def test_pair_grad_values_match_evaluate_pair():
+    """evaluate_pair_grad builds the columns and the contraction in 2-D; its
+    y values are evaluate_pair's, bit for bit, on 2..5 x 2..5."""
+    rng = np.random.default_rng(17)
+    for m in range(2, 6):
+        for n in range(2, 6):
+            sh = BipartiteShape(m, n)
+            rho = ec.random_density(sh, seed=10 * m + n)
+            for uv in (LocalUnitaryPair.identity(sh), random_unitary_pair(sh, rng)):
+                for pair in valid_pairs(sh):
+                    y, _, _ = evaluate_pair_grad(rho, pair, uv)
+                    ref = evaluate_pair(rho, pair, uv)
+                    assert _bits([y.y1, y.y2, y.y3]) == _bits([ref.y1, ref.y2, ref.y3]), (sh, pair)
 
 
 def test_pair_states_match_evaluate_pair():
