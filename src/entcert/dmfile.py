@@ -89,18 +89,13 @@ def parse_density(text: str) -> DensityMatrix:
     if m_dim < 2 or n_dim < 2:
         raise DmParseError(f"dimensions must be >= 2, got {m_dim} {n_dim}", 2, dims_tokens[1].start() + 1)
     order = m_dim * n_dim
+    rows = [(line_no, line) for line_no, line in enumerate(lines[2:], start=3) if line.strip()]
     # Count rows before allocating: a header can ask for far more memory
     # than a short file could ever fill.
-    n_rows = sum(1 for line in lines[2:] if line.strip())
-    if n_rows < order:
-        raise DmParseError(f"expected {order} matrix rows, got {n_rows}", len(lines) + 1, 1)
+    if len(rows) < order:
+        raise DmParseError(f"expected {order} matrix rows, got {len(rows)}", len(lines) + 1, 1)
     mat = np.zeros((order, order), dtype=complex)
-    row = 0
-    for line_no, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        if row >= order:
-            raise DmParseError(f"expected {order} matrix rows, found more", line_no, 1)
+    for row, (line_no, line) in enumerate(rows[:order]):
         tokens = list(_TOKEN.finditer(line))
         if len(tokens) != order:
             col = tokens[order].start() + 1 if len(tokens) > order else len(line) + 1
@@ -111,26 +106,24 @@ def parse_density(text: str) -> DensityMatrix:
             )
         for col_idx, tok in enumerate(tokens):
             mat[row, col_idx] = _parse_complex_token(tok.group(), line_no, tok.start() + 1)
-        row += 1
+    if len(rows) > order:
+        raise DmParseError(f"expected {order} matrix rows, found more", rows[order][0], 1)
     return DensityMatrix(BipartiteShape(m_dim, n_dim), mat)
 
 
 def read_density(path) -> DensityMatrix:
     """Read, parse and validate a ``dm v1`` file; a byte that is not ASCII
     is a :class:`DmParseError` at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        # The decoder's offset is relative to the chunk it was reading, so
-        # the file is read again, as bytes, to place the first bad byte.
-        with open(path, "rb") as fh:
-            data = fh.read()
-        at = re.search(rb"[\x80-\xff]", data).start()
-        # A stand-in for the bad byte ends the last line; splitlines breaks
-        # lines as reading in text mode and parse_density do.
-        lines = (data[:at] + b"?").decode("ascii").splitlines()
-        raise DmParseError(f"non-ASCII byte 0x{data[at]:02x}", len(lines), len(lines[-1])) from None
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded at once, so exc.start is the bad byte's
+        # offset in the file. A stand-in for it ends the last line;
+        # splitlines breaks lines as parse_density does.
+        lines = (data[: exc.start] + b"?").decode("ascii").splitlines()
+        raise DmParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])) from None
     return parse_density(text)
 
 

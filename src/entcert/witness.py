@@ -19,8 +19,7 @@ step forms w^dag rho w and reads off the y values; it is the only part
 that depends on the state. A scan over a family runs the column step once
 per scan and the contraction once per state (:func:`evaluate_pair_states`).
 The search's :func:`evaluate_pair_grad` runs both steps for one pair of
-unitaries on every evaluation, so it does them in 2-D with the same
-products, and y is bit for bit that of :func:`evaluate_pair`.
+unitaries and adds the gradient of f.
 """
 
 from __future__ import annotations
@@ -321,29 +320,17 @@ def evaluate_pair_grad(
     symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
     D[3,3] = -2 (y2 + y3). u and v are single matrices, not stacks; a stack
     is rejected before any product is formed.
-
-    This is the search's hot path, so it is written for one pair of
-    unitaries: the columns and the contraction of :func:`_pair_columns` and
-    :func:`_contract` in 2-D, with the same products in the same order, so
-    y is bit for bit that of :func:`evaluate_pair`. D @ lw is a scaling of
-    lw's rows (0, 2, 1, 3), with the same bits: D's zero entries would only
-    add exact zeros.
     """
-    shape = rho.shape
-    j, k = check_pair(levels, shape)
-    _check_uv(uv, shape)
     if uv.u.ndim != 2 or uv.v.ndim != 2:
         raise ValueError("evaluate_pair_grad takes one unitary pair, not a stack")
-    m, n = shape.dim_a, shape.dim_b
-    u2, v2 = uv.u[:, j - 1 : k : k - j], uv.v[:, j - 1 : k : k - j]  # columns j, k
-    w = (u2[:, None, :, None] * v2[None, :, None, :]).reshape(shape.order, 4)
-    lw = w.conj().T @ rho.mat
-    b = lw @ w
-    y = _real_values((b[1, 2] + b[2, 1], b[0, 0] - b[3, 3], b[0, 0] + b[3, 3]))
-    # Row i of D has one nonzero entry, d[i], in column (0, 2, 1, 3)[i].
+    (u2, v2), cols = _pair_columns(rho.shape, levels, uv)
+    y, lw = _contract(rho.mat, *cols)
+    # Row i of D has one nonzero entry, d[i], in column (0, 2, 1, 3)[i], so
+    # D @ lw is a scaling of lw's rows (0, 2, 1, 3), with the same bits: D's
+    # zero entries would only add exact zeros.
     d = np.array((2 * (y.y2 - y.y3), 2 * y.y1, 2 * y.y1, -2 * (y.y2 + y.y3)))
     # Cotangent of w, split over its factors w[(a, b), (s, t)] = u2[a, s] v2[b, t].
-    gw = (2 * (d[:, None] * lw[[0, 2, 1, 3]])).conj().T.reshape(m, n, 2, 2)
+    gw = (2 * (d[:, None] * lw[[0, 2, 1, 3]])).conj().T.reshape(len(u2), len(v2), 2, 2)
     gu = np.einsum("abst,bt->as", gw, v2.conj())
     gv = np.einsum("abst,as->bt", gw, u2.conj())
     return y, gu, gv

@@ -303,6 +303,28 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
         parse_density("dm v1\ndims 2 2\n" + "0.25,0 0,0 0,0 0,0\n" * 3)
 
 
+def test_dm_reader_extra_rows_and_line_ends(tmp_path):
+    rows = ["0.25,0 0,0 0,0 0,0", "0,0 0.25,0 0,0 0,0", "0,0 0,0 0.25,0 0,0", "0,0 0,0 0,0 0.25,0"]
+    lf = "dm v1\ndims 2 2\n" + "\n".join(rows) + "\n"
+    # a non-blank row past the M*N matrix rows is an error at its own line
+    with pytest.raises(DmParseError, match="line 8, column 1: expected 4 matrix rows, found more"):
+        parse_density(lf + "\n" + rows[0] + "\n")
+    # a malformed row among the matrix rows is reported before an extra row
+    bad = lf.replace(rows[1], "0,0 oops 0,0 0,0")
+    with pytest.raises(DmParseError, match="line 4, column 5: expected 're,im' pair, got 'oops'"):
+        parse_density(bad + rows[0] + "\n")
+    # CRLF, lone-CR and form-feed line breaks read as the LF file does
+    (tmp_path / "lf.dm").write_bytes(lf.encode())
+    want = read_density(tmp_path / "lf.dm").mat.tobytes()
+    for name, brk in (("crlf", "\r\n"), ("cr", "\r"), ("ff", "\f")):
+        path = tmp_path / f"{name}.dm"
+        path.write_bytes(lf.replace("\n", brk).encode())
+        assert read_density(path).mat.tobytes() == want, name
+        path.write_bytes((lf + rows[0] + "\n").replace("\n", brk).encode())
+        with pytest.raises(DmParseError, match="line 7, column 1: .* found more"):
+            read_density(path)
+
+
 def test_invalid_density_file_rejected(tmp_path, capsys):
     # valid syntax, not a density matrix (trace 2)
     bad = tmp_path / "trace2.dm"

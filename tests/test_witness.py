@@ -321,6 +321,49 @@ def test_pair_grad_values_match_evaluate_pair():
                     assert _bits([y.y1, y.y2, y.y3]) == _bits([ref.y1, ref.y2, ref.y3]), (sh, pair)
 
 
+def test_one_pair_kernel_serves_every_entry_point(monkeypatch):
+    """evaluate_pair, evaluate_pair_grad and evaluate_pair_states all run the
+    one column step and the one contraction: counting pass-throughs see one
+    call of each per evaluation (one column step per scan), and the results
+    keep their bits."""
+    import entcert.witness as witness_mod
+
+    rng = np.random.default_rng(15)
+    sh = BipartiteShape(3, 3)
+    states = [ec.random_density(sh, seed=1500 + t) for t in range(3)]
+    uv, pair = random_unitary_pair(sh, rng), (1, 3)
+    runs = (  # name, entry point, contractions it should run
+        ("pair", lambda: [evaluate_pair(states[0], pair, uv)], 1),
+        ("grad", lambda: list(evaluate_pair_grad(states[0], pair, uv)), 1),
+        ("states", lambda: list(evaluate_pair_states(sh, pair, uv, iter(states))), len(states)),
+    )
+
+    def bits(results):
+        return [
+            _bits([r.y1, r.y2, r.y3]) if isinstance(r, YValues) else np.asarray(r).tobytes()
+            for r in results
+        ]
+
+    before = {name: bits(run()) for name, run, _ in runs}
+    calls = {"_pair_columns": 0, "_contract": 0}
+
+    def counting(name):
+        real = getattr(witness_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(witness_mod, name, counting(name))
+    for name, run, contractions in runs:
+        calls.update(_pair_columns=0, _contract=0)
+        assert bits(run()) == before[name], name
+        assert calls == {"_pair_columns": 1, "_contract": contractions}, name
+
+
 def test_pair_states_match_evaluate_pair():
     """Columns built once and contracted per state give each state's own
     evaluate_pair bits, for single and stacked unitaries on 2..4 x 2..4."""
