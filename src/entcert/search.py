@@ -2,22 +2,29 @@
 
 Local unitaries are parameterized through the generator exponential map:
 u = exp(i sum_a theta_a g_a) with g_a running over the SU(M) basis in its
-enumeration order (and likewise on B), so the search space covers all of
-SU(M) x SU(N); global phases drop out of the conjugation. Maximization is
-multi-start L-BFGS on one level pair with the analytic gradient of the
-violation through the exp map: one deterministic start at zero (identity
-unitaries) plus seeded random starts, merged by best violation with ties
-broken toward the earliest restart. The optimizer,
+enumeration order (and likewise on B), so the parameters cover all of
+SU(M) x SU(N); global phases drop out of the conjugation. Reports and
+certificates carry these theta.
+
+The inequality for pair (j, k) reads only columns j, k of u and of v, so
+the search optimises those columns directly: free complex matrices A
+(M x 2) and B (N x 2), which Gram-Schmidt maps to orthonormal columns.
+Every orthonormal pair of columns is columns j, k of some u in SU(M), so
+nothing is lost. Maximization is multi-start L-BFGS with the analytic
+gradient of the violation over A and B: one deterministic start at the
+identity's columns plus seeded random starts, each drawn as theta and
+exponentiated once, merged by best violation with ties broken toward the
+earliest restart. The winning columns are turned back into theta, and the
+certificate is evaluated at the unitaries rebuilt from it. The optimizer,
 :func:`minimize`, is this module's own numpy L-BFGS with L-BFGS-B's
 defaults, so a search needs numpy only.
 
-By default the search runs the level pair (1, 2). The inequality for
-pair (j, k) reads only columns j, k of u and of v, and a signed permutation
+By default the search runs the level pair (1, 2). A signed permutation
 P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
-permutation is odd) moves them to columns 1, 2: pair (j, k) at (u, v) gives
-the same y values as pair (1, 2) at (uP_M, vP_N). Since the exp map covers
-SU(M) x SU(N), the (1, 2) search space holds every point of every other
-pair's. At the identity the pairs differ, so identity reports keep them all.
+permutation is odd) moves columns j, k to columns 1, 2: pair (j, k) at
+(u, v) gives the same y values as pair (1, 2) at (uP_M, vP_N). So the
+(1, 2) search space holds every point of every other pair's. At the
+identity the pairs differ, so identity reports keep them all.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from . import states
 from .ggm import build_basis
-from .linalg import EPS, BipartiteShape, exp_pullback, unitary_exp, unitary_exp_eigen
+from .linalg import EPS, BipartiteShape, unitary_exp
 from .states import FAMILY_PARAMS, DensityMatrix, rotation_u
 from .witness import (
     LocalUnitaryPair,
@@ -328,56 +335,109 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
     return LocalUnitaryPair(u, v)
 
 
-def _evaluator(rho: DensityMatrix, levels: tuple[int, int]):
-    """The search's objective: a function of x = (theta_a, theta_b) that
-    returns the violation there and its gradient over x.
+def _gram_schmidt(a: np.ndarray):
+    """Gram-Schmidt on two columns, held as the rows of a (2 x n): q, the
+    orthonormal columns as rows, and r = ((r1, c), (0, r2)), upper
+    triangular with a positive diagonal, as (r1, c, r2), where a^T = q^T r.
 
-    Built once per search, so each call is arithmetic only: the generator
-    stacks are flattened, the square or non-square branch is chosen and the
-    column slice is formed here. u and v come from the same exponential as
-    in :func:`build_unitaries`, so re-evaluating a point's certificate
-    reproduces its value bit for bit. f reads columns j, k of u and of v;
-    :func:`exp_pullback` carries their cotangents back to the exponent, whose
-    coefficient on generator g_a is Re Tr(g_a K). The gradient is a
-    C-contiguous float64 vector: a strided one would round ``g @ d`` in the
-    optimizer differently. ``unitary_exp_eigen``, ``evaluate_pair_grad`` and
-    ``exp_pullback`` are looked up in this module on every call, where
-    callers can wrap them.
+    The projection off q1 runs twice ("twice is enough"), so q stays
+    orthonormal to rounding even when a's columns are nearly parallel, as
+    they can be at the optimizer's trial points. Mathematically the second
+    pass removes nothing, so the pullback is unchanged.
     """
-    m, n = rho.shape.dim_a, rho.shape.dim_b
-    stack_a, stack_b = _generator_stack(m), _generator_stack(n)
-    na = len(stack_a)
-    # _generator_sum's np.dot, on stacks flattened once
-    flat_a, flat_b = stack_a.reshape(na, -1), stack_b.reshape(len(stack_b), -1)
-    j, k = levels
-    cols = slice(j - 1, k, k - j)  # columns j, k
+    q = a.copy()
+    q1, p = q  # views of the rows
+    r1 = math.sqrt(np.vdot(q1, q1).real)
+    q1 /= r1
+    c = np.vdot(q1, p)
+    p -= c * q1
+    c2 = np.vdot(q1, p)  # what rounding left along q1
+    p -= c2 * q1
+    r2 = math.sqrt(np.vdot(p, p).real)
+    p /= r2
+    return q, (r1, c + c2, r2)
 
-    if m == n:  # one cached stack: one exp and pullback serve both sides
-        h = np.empty((2, n, n), dtype=complex)
-        h_rows = h.reshape(2, 1, n * n)
-        cot = np.empty((2, n, 2), dtype=complex)
 
-        def value_and_grad(x):
-            np.dot(x[None, :na], flat_a, out=h_rows[0])
-            np.dot(x[None, na:], flat_a, out=h_rows[1])
-            (u, v), vals, vecs = unitary_exp_eigen(h)
-            y, cot[0], cot[1] = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
-            pull = exp_pullback(cot, cols, vals, vecs)
-            return y.f, np.einsum("aij,sji->sa", stack_a, pull).real.ravel()
+def _gram_schmidt_pullback(g: np.ndarray, q: np.ndarray, r) -> np.ndarray:
+    """The cotangent of a, given g, the cotangent of q, for :func:`_gram_schmidt`'s
+    q and r of a (cotangents in the Re Tr(g^dag dq) convention, columns as rows).
 
-        return value_and_grad
+    Reverse-mode QR with no cotangent on r: with columns as columns,
+    A = Q R has the cotangent (G - Q H) R^-dag, where H is the Hermitian
+    matrix with the upper triangle of Q^dag G and a real diagonal (Walter
+    and Lehmann, arXiv:1802.04599; the real diagonal keeps r's diagonal
+    real). Here it is that formula transposed.
+    """
+    r1, c, r2 = r
+    (x11, x12), (_, x22) = (q.conj() @ g.T).tolist()  # Q^dag G
+    h_t = np.array(((x11.real, x12.conjugate()), (x12, x22.real)))
+    r_inv_conj = np.array(((1 / r1, -c.conjugate() / (r1 * r2)), (0.0, 1 / r2)))
+    return r_inv_conj @ (g - h_t @ q)
+
+
+def _column_objective(rho: DensityMatrix):
+    """The search's objective: a function of x that returns the violation
+    at x and its gradient over x.
+
+    x packs two free complex matrices, A (M x 2) and B (N x 2)
+    (:func:`_pack`). Gram-Schmidt maps each to two orthonormal columns,
+    which stand for columns j, k of u and of v; :func:`evaluate_pair_grad`
+    gives f there and its column cotangents, and
+    :func:`_gram_schmidt_pullback` carries them back to A and B. A complex
+    entry's cotangent g contributes Re(conj(g) dz), so its real and
+    imaginary parts are the gradient over the entry's real and imaginary
+    parts, in the order x holds them. The gradient is a C-contiguous
+    float64 vector: a strided one would round ``g @ d`` in the optimizer
+    differently. ``evaluate_pair_grad`` is looked up in this module on
+    every call, where callers can wrap it.
+    """
+    m = rho.shape.dim_a
 
     def value_and_grad(x):
-        u, vals_a, vecs_a = unitary_exp_eigen(np.dot(x[None, :na], flat_a).reshape(m, m))
-        v, vals_b, vecs_b = unitary_exp_eigen(np.dot(x[None, na:], flat_b).reshape(n, n))
-        y, gu, gv = evaluate_pair_grad(rho, levels, LocalUnitaryPair(u, v))
-        pull_a = exp_pullback(gu, cols, vals_a, vecs_a)
-        pull_b = exp_pullback(gv, cols, vals_b, vecs_b)
-        return y.f, np.concatenate(
-            (np.einsum("aij,ji->a", stack_a, pull_a).real, np.einsum("aij,ji->a", stack_b, pull_b).real)
-        )
+        z = x.view(complex).reshape(2, -1)
+        qa, ra = _gram_schmidt(z[:, :m])
+        qb, rb = _gram_schmidt(z[:, m:])
+        y, gu, gv = evaluate_pair_grad(rho, qa.T, qb.T)
+        ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
+        return y.f, np.concatenate((ga, gb), axis=1).view(float).ravel()
 
     return value_and_grad
+
+
+def _pack(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The search variables x for the columns u2 (M x 2) and v2 (N x 2):
+    the real and imaginary parts of each entry in turn, first column of u2
+    then of v2, then their second columns."""
+    z = np.concatenate((u2, v2)).T
+    return np.stack((z.real, z.imag), axis=-1).ravel()
+
+
+def _theta(q: np.ndarray, levels: tuple[int, int]) -> tuple[float, ...]:
+    """Generator coefficients theta whose exp(i sum_a theta_a g_a) has q's
+    two orthonormal columns at the levels (j, k), up to one global phase.
+
+    QR completes q to a unitary u with q's columns at j, k. Its log,
+    h = -i log u, comes from ``eig`` with the eigenvectors re-orthonormalised
+    (u is normal, so only vectors of one repeated eigenvalue mix). Then
+    theta_a = Tr(g_a h) / 2 reads h's traceless part, whose exponential is
+    u times the global phase exp(-i Tr(h) / n); f does not see that phase,
+    so no branch of the log needs choosing.
+    """
+    n = len(q)
+    cols = [levels[0] - 1, levels[1] - 1]
+    rest = [i for i in range(n) if i not in cols]
+    # Q of (q, the identity's other columns) is unitary whatever their rank,
+    # so its last n - 2 columns complete q. Each is turned so its largest
+    # entry is real and positive: the identity's columns then complete to
+    # the identity, and read off as theta = 0, at every pair.
+    fill = np.linalg.qr(np.hstack((q, np.eye(n)[:, rest])))[0][:, 2:]
+    peaks = fill[np.abs(fill).argmax(axis=0), range(n - 2)]
+    u = np.empty((n, n), dtype=complex)
+    u[:, cols], u[:, rest] = q, fill * (peaks.conj() / abs(peaks))
+    vals, vecs = np.linalg.eig(u)
+    vecs = np.linalg.qr(vecs)[0]
+    h = (vecs * np.angle(vals)) @ vecs.conj().T
+    return tuple((np.einsum("aij,ji->a", _generator_stack(n), h).real / 2).tolist())
 
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:
@@ -429,20 +489,23 @@ def maximize_violation(
     column permutation in SU(M) x SU(N) carries any pair's point to a
     (1, 2) point with the same y values (see the module docstring).
 
-    L-BFGS ascents (:func:`minimize`), with the analytic gradient through
-    the exp map, run from the zero start and from cfg.restarts random
-    starts (entries uniform in [-pi, pi], substream seeded by the restart
-    index), each capped at cfg.max_iters iterations with gradient max-norm
-    tolerance GTOL. The best point over all runs, the earliest on ties, is
-    re-evaluated to form the certificate, so the reported violation never
-    depends on trusting the optimizer's bookkeeping. ``evaluations`` counts
-    value-and-gradient evaluations.
+    L-BFGS ascents (:func:`minimize`) over the pair's columns of u and v
+    (:func:`_column_objective`) run from the zero start and from
+    cfg.restarts random starts (theta entries uniform in [-pi, pi],
+    substream seeded by the restart index), each capped at cfg.max_iters
+    iterations with gradient max-norm tolerance GTOL. The best point over
+    all runs, the earliest on ties, is read off as theta
+    (:func:`_theta`), and the certificate is evaluated at the unitaries
+    :func:`build_unitaries` rebuilds from it, so the reported violation
+    never depends on trusting the optimizer's bookkeeping. ``evaluations``
+    counts value-and-gradient evaluations.
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
     pair = check_pair(cfg.pair or (1, 2), shape)
     na, nb = shape.dim_a**2 - 1, shape.dim_b**2 - 1
-    evaluate = _evaluator(rho, pair)
+    cols = [pair[0] - 1, pair[1] - 1]
+    evaluate = _column_objective(rho)
     evaluations = 0
     best = None  # (f, x)
     last = (None, 0.0, None)  # one-slot cache: (x bytes, f, gradient)
@@ -466,20 +529,25 @@ def maximize_violation(
 
     # Each start is drawn just before its ascent, so memory does not grow
     # with cfg.restarts. The spawn key's leading 0 keeps every seed's starts
-    # as they were when the search looped over several pairs.
+    # as they were when the search looped over several pairs. A start's
+    # theta is exponentiated once, and the ascent begins at its columns j, k.
     for r in range(cfg.restarts + 1):
         if r == 0:
-            x0 = np.zeros(na + nb)
+            theta = [0.0] * (na + nb)
         else:
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, r))
-            x0 = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb)
+            theta = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb).tolist()
+        u, v = build_unitaries(UnitaryParams(tuple(theta[:na]), tuple(theta[na:])), shape)
+        x0 = _pack(u[:, cols], v[:, cols])
         res = minimize(neg_f, x0, jac=neg_grad, options={"maxiter": cfg.max_iters, "gtol": GTOL})
         cand = -float(res.fun)
         if best is None or cand > best[0]:
             best = (cand, np.array(res.x))
 
-    x = best[1]
-    params = UnitaryParams(tuple(float(t) for t in x[:na]), tuple(float(t) for t in x[na:]))
+    z = best[1].view(complex).reshape(2, -1)
+    qa, _ = _gram_schmidt(z[:, : shape.dim_a])
+    qb, _ = _gram_schmidt(z[:, shape.dim_a :])
+    params = UnitaryParams(_theta(qa.T, pair), _theta(qb.T, pair))
     y = evaluate_pair(rho, pair, build_unitaries(params, shape))
     return _report(rho, pair, params, y, evaluations)
 

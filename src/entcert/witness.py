@@ -13,13 +13,14 @@ entanglement certificate whenever it is positive. The partial-transpose
 oracle provides the independent cross-check.
 
 The pair kernel behind :func:`evaluate_pair` runs in two steps. The column
-step validates the pair and u, v and builds w, the columns |jj>, |jk>,
-|kj>, |kk> of u (x) v; it depends on the unitaries only. The contraction
-step forms w^dag rho w and reads off the y values; it is the only part
-that depends on the state. A scan over a family runs the column step once
-per scan and the contraction once per state (:func:`evaluate_pair_states`).
-The search's :func:`evaluate_pair_grad` runs both steps for one pair of
-unitaries and adds the gradient of f.
+step builds w, the columns |jj>, |jk>, |kj>, |kk> of u (x) v, from columns
+j, k of u and of v; it depends on the unitaries only. The contraction step
+forms w^dag rho w and reads off the y values; it is the only part that
+depends on the state. A scan over a family runs the column step once per
+scan and the contraction once per state (:func:`evaluate_pair_states`).
+The search optimises over the two columns themselves, so its
+:func:`evaluate_pair_grad` takes them as given, runs both steps and adds
+the gradient of f over the columns.
 """
 
 from __future__ import annotations
@@ -236,25 +237,31 @@ def evaluate(rho: DensityMatrix, t: WitnessTriple, uv: LocalUnitaryPair) -> YVal
     return _real_values([np.einsum("ij,ji->", back, y) for y in (t.y1, t.y2, t.y3)])
 
 
-def _pair_columns(shape: BipartiteShape, levels, uv: LocalUnitaryPair):
-    """The state-independent half of a pair evaluation.
-
-    Validates the pair and u, v against the shape. Returns ((u2, v2), cols):
-    columns j, k of u and of v, and the arguments :func:`_contract` takes
-    after the state, built from w, the columns |jj>, |jk>, |kj>, |kk> of
-    u (x) v. u and v may carry leading stack axes, which broadcast against
-    each other.
-    """
+def _unitary_columns(shape: BipartiteShape, levels, uv: LocalUnitaryPair):
+    """Columns j, k of u and of v, after validating the pair and u, v
+    against the shape. u and v may carry leading stack axes."""
     j, k = check_pair(levels, shape)
     _check_uv(uv, shape)
-    u2, v2 = uv.u[..., j - 1 : k : k - j], uv.v[..., j - 1 : k : k - j]  # columns j, k
+    cols = slice(j - 1, k, k - j)  # columns j, k, without a copy
+    return uv.u[..., cols], uv.v[..., cols]
+
+
+def _pair_columns(u2: np.ndarray, v2: np.ndarray):
+    """The state-independent half of a pair evaluation.
+
+    u2 (M x 2) and v2 (N x 2) are the columns j, k of u and of v; they may
+    carry leading stack axes, which broadcast against each other. Returns
+    the arguments :func:`_contract` takes after the state, built from w,
+    the columns |jj>, |jk>, |kj>, |kk> of u (x) v.
+    """
+    order = u2.shape[-2] * v2.shape[-2]
     # np.kron(u2, v2) written out: np.kron's own overhead exceeds the rest of the call.
     w = u2[..., :, None, :, None] * v2[..., None, :, None, :]
-    w = w.reshape(w.shape[:-4] + (shape.order, 4))
+    w = w.reshape(w.shape[:-4] + (order, 4))
     # One 2-D product over every slice's rows: a stacked matmul loops over
-    # the slices. For a single pair of unitaries the reshape is a view.
+    # the slices. For a single pair of columns the reshape is a view.
     wd = w.conj().swapaxes(-1, -2)
-    return (u2, v2), (w, wd.reshape(-1, shape.order), wd.shape)
+    return w, wd.reshape(-1, order), wd.shape
 
 
 def _contract(mat: np.ndarray, w: np.ndarray, wd_rows: np.ndarray, lw_shape):
@@ -273,7 +280,7 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
     """``evaluate(rho, ketbra_triple(rho.shape, j, k), uv)`` from four columns.
 
     The elementary triple reads only the columns |jj>, |jk>, |kj>, |kk> of
-    u (x) v. Every search path evaluates through this kernel, the search
+    u (x) v. Every search path evaluates through this kernel: the search
     itself through :func:`evaluate_pair_grad`, which shares it, and
     ``scan_1d`` through :func:`evaluate_pair_states`.
 
@@ -281,7 +288,7 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
     other; y1, y2 and y3 are then float arrays over the broadcast stack,
     each slice equal bit for bit to its own single evaluation.
     """
-    _, cols = _pair_columns(rho.shape, levels, uv)
+    cols = _pair_columns(*_unitary_columns(rho.shape, levels, uv))
     return _contract(rho.mat, *cols)[0]
 
 
@@ -296,7 +303,7 @@ def evaluate_pair_states(
     its own :func:`evaluate_pair`. States are drawn one at a time, so memory
     holds one state's products, not a stack over all states.
     """
-    _, cols = _pair_columns(shape, levels, uv)
+    cols = _pair_columns(*_unitary_columns(shape, levels, uv))
 
     def each():
         for rho in states:
@@ -308,29 +315,36 @@ def evaluate_pair_states(
 
 
 def evaluate_pair_grad(
-    rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryPair
+    rho: DensityMatrix, u2: np.ndarray, v2: np.ndarray
 ) -> tuple[YValues, np.ndarray, np.ndarray]:
-    """:func:`evaluate_pair` plus the gradient of f over columns j, k of u and v.
+    """The y values of one pair's columns and the gradient of f over them.
 
-    Returns (y, gu, gv): gu (M x 2) and gv (N x 2) are the cotangents of
-    columns j, k of u and v, so a change du2, dv2 of those columns changes f
-    by Re Tr(gu^dag du2) + Re Tr(gv^dag dv2).
+    u2 (M x 2) and v2 (N x 2) stand for columns j, k of u and of v: the
+    result is :func:`evaluate_pair`'s for any u, v with those columns at
+    the pair's levels. f is a polynomial in the columns and is evaluated
+    as given; orthonormality is the caller's. Returns (y, gu, gv): gu
+    (M x 2) and gv (N x 2) are the cotangents of u2 and v2, so a change
+    du2, dv2 changes f by Re Tr(gu^dag du2) + Re Tr(gv^dag dv2).
 
     With b = w^dag rho w, df = 2 Re Tr(D w^dag rho dw) where D is real
     symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
-    D[3,3] = -2 (y2 + y3). u and v are single matrices, not stacks; a stack
-    is rejected before any product is formed.
+    D[3,3] = -2 (y2 + y3). The columns are one pair, not a stack; anything
+    else is rejected before any product is formed.
     """
-    if uv.u.ndim != 2 or uv.v.ndim != 2:
-        raise ValueError("evaluate_pair_grad takes one unitary pair, not a stack")
-    (u2, v2), cols = _pair_columns(rho.shape, levels, uv)
+    m, n = rho.shape.dim_a, rho.shape.dim_b
+    if u2.shape != (m, 2) or v2.shape != (n, 2):
+        raise ValueError(
+            f"evaluate_pair_grad takes one {m}x2 and one {n}x2 pair of columns, not a stack; "
+            f"got {u2.shape} and {v2.shape}"
+        )
+    cols = _pair_columns(u2, v2)
     y, lw = _contract(rho.mat, *cols)
     # Row i of D has one nonzero entry, d[i], in column (0, 2, 1, 3)[i], so
     # D @ lw is a scaling of lw's rows (0, 2, 1, 3), with the same bits: D's
     # zero entries would only add exact zeros.
     d = np.array((2 * (y.y2 - y.y3), 2 * y.y1, 2 * y.y1, -2 * (y.y2 + y.y3)))
     # Cotangent of w, split over its factors w[(a, b), (s, t)] = u2[a, s] v2[b, t].
-    gw = (2 * (d[:, None] * lw[[0, 2, 1, 3]])).conj().T.reshape(len(u2), len(v2), 2, 2)
+    gw = (2 * (d[:, None] * lw[[0, 2, 1, 3]])).conj().T.reshape(m, n, 2, 2)
     gu = np.einsum("abst,bt->as", gw, v2.conj())
     gv = np.einsum("abst,as->bt", gw, u2.conj())
     return y, gu, gv

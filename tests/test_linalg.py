@@ -9,7 +9,6 @@ from entcert import (
     unitary_exp,
     werner,
 )
-from entcert.linalg import exp_pullback, unitary_exp_eigen
 from conftest import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -196,33 +195,3 @@ def test_validated_entry_points_reject_non_finite_input(bad):
         for h in (np.full((2, 2), bad), np.diag([0.0, bad])):
             with pytest.raises(ValueError, match="non-finite entries"):
                 fn(h)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_stacked_exp_and_pullback_match_2d_calls_bit_for_bit(n):
-    # The search sends both local factors of a square shape through one
-    # stacked call; each slice must be exactly its own 2-D call, and the
-    # unitary exactly unitary_exp's, which builds the certificate.
-    rng = np.random.default_rng(20 + n)
-    hs = np.stack([random_hermitian(rng, n), random_hermitian(rng, n), np.zeros((n, n), complex)])
-    cots = rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
-    cols = [0, n - 1]
-    us, vals, vecs = unitary_exp_eigen(hs)
-    ks = exp_pullback(cots, cols, vals, vecs)
-    # the same columns as a slice, which selects them without a copy
-    assert ks.tobytes() == exp_pullback(cots, slice(0, n, n - 1), vals, vecs).tobytes()
-    for h, u, val, vec, cot, k in zip(hs, us, vals, vecs, cots, ks):
-        u1, val1, vec1 = unitary_exp_eigen(h)
-        assert u.tobytes() == u1.tobytes() == unitary_exp(h).tobytes()
-        assert val.tobytes() == val1.tobytes() and vec.tobytes() == vec1.tobytes()
-        assert k.tobytes() == exp_pullback(cot, cols, val, vec).tobytes()
-        # against the Daleckii-Krein formula with G formed densely: zero
-        # apart from rows cols, which hold cot^dag
-        g = np.zeros((n, n), complex)
-        g[cols] = cot.conj().T
-        half = val / 2
-        gamma = np.exp(1j * (half[:, None] + half[None, :])) * np.sinc(
-            (half[:, None] - half[None, :]) / np.pi
-        )
-        dense = vec @ (1j * gamma * (vec.conj().T @ g @ vec)) @ vec.conj().T
-        assert np.abs(k - dense).max() <= 1e-12 * np.abs(dense).max()

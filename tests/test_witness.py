@@ -250,12 +250,16 @@ def test_evaluate_errors():
         evaluate_pair(bad, (1, 2), LocalUnitaryPair(np.stack([swap, eye, swap]), eye))
     with pytest.raises(ValueError, match="do not match"):
         evaluate_pair(werner(0.5), (1, 2), LocalUnitaryPair(np.zeros((3, 3, 3)), eye))
-    # A stack is refused before any product is formed: stacks of 3 and 2
-    # slices would not even broadcast against each other.
-    for u, v in ((np.stack([eye, eye]), eye), (eye, np.stack([eye, eye])),
-                 (np.stack([eye] * 3), np.stack([eye] * 2))):
+    # A stack of columns is refused before any product is formed: stacks of
+    # 3 and 2 slices would not even broadcast against each other.
+    for u2, v2 in ((np.stack([eye, eye]), eye), (eye, np.stack([eye, eye])),
+                   (np.stack([eye] * 3), np.stack([eye] * 2))):
         with pytest.raises(ValueError, match="not a stack"):
-            evaluate_pair_grad(werner(0.5), (1, 2), LocalUnitaryPair(u, v))
+            evaluate_pair_grad(werner(0.5), u2, v2)
+    # so are columns of the wrong order, or more than two of them
+    for u2, v2 in ((np.eye(3, 2), eye), (eye, np.eye(2, 3))):
+        with pytest.raises(ValueError, match="one 2x2 and one 2x2 pair of columns"):
+            evaluate_pair_grad(werner(0.5), u2, v2)
 
 
 def _bits(x) -> bytes:
@@ -307,8 +311,9 @@ def test_evaluate_pair_stack_matches_single_evaluations():
 
 
 def test_pair_grad_values_match_evaluate_pair():
-    """evaluate_pair_grad builds the columns and the contraction in 2-D; its
-    y values are evaluate_pair's, bit for bit, on 2..5 x 2..5."""
+    """evaluate_pair_grad, given columns j, k of u and of v, gives the y
+    values evaluate_pair gives for u and v at the pair (j, k), bit for bit,
+    on 2..5 x 2..5."""
     rng = np.random.default_rng(17)
     for m in range(2, 6):
         for n in range(2, 6):
@@ -316,7 +321,8 @@ def test_pair_grad_values_match_evaluate_pair():
             rho = ec.random_density(sh, seed=10 * m + n)
             for uv in (LocalUnitaryPair.identity(sh), random_unitary_pair(sh, rng)):
                 for pair in valid_pairs(sh):
-                    y, _, _ = evaluate_pair_grad(rho, pair, uv)
+                    cols = [pair[0] - 1, pair[1] - 1]
+                    y, _, _ = evaluate_pair_grad(rho, uv.u[:, cols], uv.v[:, cols])
                     ref = evaluate_pair(rho, pair, uv)
                     assert _bits([y.y1, y.y2, y.y3]) == _bits([ref.y1, ref.y2, ref.y3]), (sh, pair)
 
@@ -334,7 +340,7 @@ def test_one_pair_kernel_serves_every_entry_point(monkeypatch):
     uv, pair = random_unitary_pair(sh, rng), (1, 3)
     runs = (  # name, entry point, contractions it should run
         ("pair", lambda: [evaluate_pair(states[0], pair, uv)], 1),
-        ("grad", lambda: list(evaluate_pair_grad(states[0], pair, uv)), 1),
+        ("grad", lambda: list(evaluate_pair_grad(states[0], uv.u[:, [0, 2]], uv.v[:, [0, 2]])), 1),
         ("states", lambda: list(evaluate_pair_states(sh, pair, uv, iter(states))), len(states)),
     )
 
