@@ -16,8 +16,8 @@ identity's columns plus seeded random starts, each drawn as theta and
 exponentiated once, merged by best violation with ties broken toward the
 earliest restart. The winning columns are turned back into theta, and the
 certificate is evaluated at the unitaries rebuilt from it. The optimizer,
-:func:`minimize`, is this module's own numpy L-BFGS with L-BFGS-B's
-defaults, so a search needs numpy only.
+:func:`minimize`, is this module's own numpy L-BFGS with a backtracking
+line search, so a search needs numpy only.
 
 By default the search runs the level pair (1, 2). A signed permutation
 P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
@@ -59,14 +59,12 @@ from .witness import (
 from .witness import build_triple_mxn, evaluate  # noqa: F401  hooked by name: perfbench/spans.py
 
 
-# L-BFGS constants, after L-BFGS-B's defaults (Byrd, Lu, Nocedal and Zhu,
-# SIAM J. Sci. Comput. 16 (1995) 1190; Liu and Nocedal, Math. Prog. 45
-# (1989) 503). WOLFE_C1 is the textbook 1e-4 (L-BFGS-B's own is 1e-3).
+# L-BFGS constants: the history length and stopping tests are L-BFGS-B's
+# defaults (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci. Comput. 16 (1995) 1190;
+# Liu and Nocedal, Math. Prog. 45 (1989) 503). ARMIJO_C1 is the textbook 1e-4.
 HISTORY = 10  # (s, y) pairs in the inverse-Hessian estimate
-WOLFE_C1 = 1e-4  # sufficient decrease
-WOLFE_C2 = 0.9  # curvature, on |slope| (strong Wolfe)
+ARMIJO_C1 = 1e-4  # sufficient decrease
 MAX_LINE_EVALS = 20  # evaluations one line search may spend
-EXTRAPOLATE = 4.0  # step growth while the line search has no upper bracket
 F_RTOL = 1e7 * EPS  # stop when an iteration lowers f by less, relatively
 GTOL = 1e-7  # a search start has converged once max|gradient| <= GTOL
 
@@ -76,7 +74,7 @@ class MinimizeStatus(IntEnum):
 
     CONVERGED = 0  # max|gradient| <= gtol, or the drop in f fell below F_RTOL
     ITERATION_CAP = 1  # maxiter iterations ran
-    LINE_SEARCH_FAILED = 2  # no strong-Wolfe step, even along -gradient
+    LINE_SEARCH_FAILED = 2  # no step with sufficient decrease, even along -gradient
 
 
 class MinimizeResult(NamedTuple):
@@ -120,58 +118,28 @@ def _lbfgs_direction(g: np.ndarray, steps: np.ndarray, changes: np.ndarray) -> n
     return r + np.dot(c, steps)
 
 
-def _interpolate(lo: tuple, hi: tuple) -> float:
-    """A trial step inside the bracket of (step, f, slope) ends lo and hi:
-    the minimizer of the cubic through both ends' values and slopes when it
-    lies at least a tenth of the bracket from either end, else the midpoint.
-    The range test also turns away a NaN from a non-finite end."""
-    (a, fa, da), (b, fb, db) = lo, hi
-    if a != b:
-        d1 = da + db - 3.0 * (fa - fb) / (a - b)
-        rad = d1 * d1 - da * db
-        if rad >= 0.0:
-            d2 = math.copysign(math.sqrt(rad), b - a)
-            denom = db - da + 2.0 * d2
-            if denom != 0.0:
-                t = b - (b - a) * (db + d2 - d1) / denom
-                margin = 0.1 * abs(b - a)
-                if min(a, b) + margin <= t <= max(a, b) - margin:
-                    return t
-    return 0.5 * (a + b)
-
-
-def _wolfe_step(fun, jac, x, f0: float, d, slope0: float, step: float):
-    """(x + t d, f, gradient) for a step t meeting the strong Wolfe
-    conditions, or None once MAX_LINE_EVALS points failed.
-
-    Bracketing and zoom as in Nocedal and Wright, *Numerical Optimization*
-    (2006), Algorithms 3.5 and 3.6: ``lo`` is the best step so far that
-    satisfies sufficient decrease, ``hi`` the other end of a bracket known
-    to hold an acceptable step. A non-finite f counts as too far.
+def _backtrack(fun, jac, x, f0: float, d, slope0: float, step: float):
+    """(x + t d, f, gradient) for the first t of step, step/2, step/4, ...
+    with sufficient decrease, f <= f0 + ARMIJO_C1 t slope0, or None once
+    MAX_LINE_EVALS points failed (Nocedal and Wright, *Numerical
+    Optimization*, Algorithm 3.1). A NaN f fails the test, so a non-finite
+    f counts as too far. ``jac`` runs only at the accepted point.
     """
-    lo, hi = (0.0, f0, slope0), None
     for _ in range(MAX_LINE_EVALS):
         x_new = x + step * d
         f = float(fun(x_new))
-        g = jac(x_new)
-        slope = float(g @ d)
-        if not f <= f0 + WOLFE_C1 * step * slope0 or f >= lo[1]:
-            hi = (step, f, slope)
-        elif abs(slope) <= -WOLFE_C2 * slope0:
-            return x_new, f, g
-        else:
-            if (slope >= 0.0) if hi is None else slope * (hi[0] - lo[0]) >= 0.0:
-                hi = lo
-            lo = (step, f, slope)
-        step = EXTRAPOLATE * step if hi is None else _interpolate(lo, hi)
+        if f <= f0 + ARMIJO_C1 * step * slope0:
+            return x_new, f, jac(x_new)
+        step *= 0.5
     return None
 
 
 def minimize(fun, x0, jac, options) -> MinimizeResult:
-    """Minimize ``fun`` from ``x0`` by L-BFGS with a strong-Wolfe line search.
+    """Minimize ``fun`` from ``x0`` by L-BFGS with a backtracking line search.
 
-    ``fun(x)`` returns f as a float and ``jac(x)`` its gradient; every point
-    visited costs one call of each, ``fun`` first. ``options`` holds
+    ``fun(x)`` returns f as a float and ``jac(x)`` its gradient. Every trial
+    point costs one call of ``fun``; ``jac`` runs at ``x0`` and at each
+    accepted point, after ``fun`` there. ``options`` holds
     ``"maxiter"``, the iteration cap, and ``"gtol"``: the run has converged
     once max|gradient| <= gtol, or once an iteration lowers f by at most
     F_RTOL * max(|f|, 1). The first step along -gradient has length 1, later
@@ -196,7 +164,7 @@ def minimize(fun, x0, jac, options) -> MinimizeResult:
             steps = changes = no_history
             d, slope = -g, float(g @ -g)
         step = 1.0 if len(steps) else 1.0 / math.sqrt(-slope)
-        found = _wolfe_step(fun, jac, x, f, d, slope, step)
+        found = _backtrack(fun, jac, x, f, d, slope, step)
         if found is None:
             if not len(steps):
                 return MinimizeResult(x, f, nit, MinimizeStatus.LINE_SEARCH_FAILED)
@@ -312,15 +280,6 @@ def _generator_stack(n: int) -> np.ndarray:
     return stack
 
 
-def _generator_sum(theta: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_a theta_a g_a over a generator stack.
-
-    The one product ``np.tensordot(theta, stack, axes=1)`` makes, without
-    its Python overhead.
-    """
-    return np.dot(theta[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
-
-
 def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitaryPair:
     """Exponentiate parameter vectors into a local unitary pair."""
     theta_a, theta_b = np.asarray(params.theta_a), np.asarray(params.theta_b)
@@ -330,8 +289,8 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
             f"parameter lengths ({theta_a.size}, {theta_b.size}) do not match "
             f"generator counts ({stack_a.shape[0]}, {stack_b.shape[0]})"
         )
-    u = unitary_exp(_generator_sum(theta_a, stack_a))
-    v = unitary_exp(_generator_sum(theta_b, stack_b))
+    u = unitary_exp(np.tensordot(theta_a, stack_a, axes=1))
+    v = unitary_exp(np.tensordot(theta_b, stack_b, axes=1))
     return LocalUnitaryPair(u, v)
 
 
