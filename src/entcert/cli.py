@@ -87,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "which reaches every pair)")
     p_detect.add_argument("--seed", type=int, default=0, help="search seed")
     p_detect.add_argument("--restarts", type=int, default=16,
-                          help="random restarts besides the zero start")
+                          help="random restarts besides the zero start; skipped when "
+                               "the partial transpose is proven positive, where no "
+                               "start can violate")
     p_detect.add_argument("--json", action="store_true", dest="as_json",
                           help="print the report as a single JSON line")
     p_detect.set_defaults(func=_cmd_detect)

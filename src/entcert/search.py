@@ -15,7 +15,10 @@ gradient of the violation over A and B: one deterministic start at the
 identity's columns plus seeded random starts, each drawn as theta and
 exponentiated once, merged by best violation with ties broken toward the
 earliest restart. The winning columns are turned back into theta, and the
-certificate is evaluated at the unitaries rebuilt from it. The optimizer,
+certificate is evaluated at the unitaries rebuilt from it. When the
+partial transpose is proven positive (its computed minimum eigenvalue is
+above PPT_TOL, far above the eigen-solve's rounding), f <= 0 everywhere and
+no start can certify, so the zero start runs alone. The optimizer,
 :func:`minimize`, is this module's own numpy L-BFGS with a backtracking
 line search, so a search needs numpy only.
 
@@ -43,6 +46,7 @@ from .ggm import build_basis
 from .linalg import EPS, BipartiteShape, unitary_exp
 from .states import FAMILY_PARAMS, DensityMatrix, rotation_u
 from .witness import (
+    PPT_TOL,
     LocalUnitaryPair,
     PptVerdict,
     Verdict,
@@ -418,9 +422,10 @@ def _report(
     params: UnitaryParams,
     y: YValues,
     evaluations: int,
+    ppt_min: float,
 ) -> DetectionReport:
-    """Assemble a report around the certificate's y values."""
-    ppt_min = ppt_min_eigenvalue(rho)
+    """Assemble a report around the certificate's y values and rho's
+    :func:`ppt_min_eigenvalue`."""
     ppt = classify_ppt(ppt_min, rho.shape)
     verdict = _final_verdict(check_inequality(y), ppt)
     return DetectionReport(verdict, y.f, pair, params, y, ppt_min, ppt, evaluations)
@@ -436,7 +441,8 @@ def evaluate_at_identity(
     # max() keeps the earliest of equal values, as the search merge does.
     best_pair, y = max(((p, evaluate_pair(rho, p, uv)) for p in pairs), key=lambda py: py[1].f)
     # The zero parameters build exactly these identities, so no exp is needed.
-    return _report(rho, best_pair, UnitaryParams.zero(rho.shape), y, len(pairs))
+    zero = UnitaryParams.zero(rho.shape)
+    return _report(rho, best_pair, zero, y, len(pairs), ppt_min_eigenvalue(rho))
 
 
 def maximize_violation(
@@ -458,10 +464,31 @@ def maximize_violation(
     :func:`build_unitaries` rebuilds from it, so the reported violation
     never depends on trusting the optimizer's bookkeeping. ``evaluations``
     counts value-and-gradient evaluations.
+
+    The random starts are skipped, and the zero start runs alone, when
+    :func:`ppt_min_eigenvalue` exceeds PPT_TOL: that proves the partial
+    transpose positive, and then f <= 0 at every point (see the comment at
+    the gate), so no start could certify. The report reuses that one
+    eigen-solve.
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
     pair = check_pair(cfg.pair or (1, 2), shape)
+    ppt_min = ppt_min_eigenvalue(rho)
+    # a, b and c are entries of rho^Gamma between two product vectors, so
+    # f = 4((Re c)^2 - ab) <= 0 everywhere when rho^Gamma >= 0 (Cauchy-Schwarz)
+    # and no start can certify. ppt_min > PPT_TOL proves rho^Gamma >= 0:
+    # - eigh is backward stable, so by Weyl the computed minimum is within
+    #   p(n) eps ||rho^Gamma||_2 of the exact one;
+    # - ||rho^Gamma||_2 <= ||rho^Gamma||_F = ||rho||_F, about 1 at most for
+    #   a validated DensityMatrix (unit trace, eigenvalues >= -1e-9);
+    # - hermitian_eigen solves the Hermitian part, which is also the only part
+    #   the kernel's real y values read.
+    # PPT_TOL is far above that rounding for every order entcert reads, so a
+    # state above it runs the zero start alone. States inside the band keep
+    # every start. Either way no verdict moves: a PPT state's exact f is <= 0,
+    # never above VIOLATION_TOL.
+    starts = 1 if ppt_min > PPT_TOL else cfg.restarts + 1
     na, nb = shape.dim_a**2 - 1, shape.dim_b**2 - 1
     cols = [pair[0] - 1, pair[1] - 1]
     evaluate = _column_objective(rho)
@@ -488,15 +515,16 @@ def maximize_violation(
 
     # Each start is drawn just before its ascent, so memory does not grow
     # with cfg.restarts. The spawn key's leading 0 keeps every seed's starts
-    # as they were when the search looped over several pairs. A start's
-    # theta is exponentiated once, and the ascent begins at its columns j, k.
-    for r in range(cfg.restarts + 1):
+    # as they were when the search looped over several pairs. A random
+    # start's theta is exponentiated once, and the ascent begins at its
+    # columns j, k; the zero start's are the identity's, bit for bit.
+    for r in range(starts):
         if r == 0:
-            theta = [0.0] * (na + nb)
+            u, v = LocalUnitaryPair.identity(shape)
         else:
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, r))
             theta = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb).tolist()
-        u, v = build_unitaries(UnitaryParams(tuple(theta[:na]), tuple(theta[na:])), shape)
+            u, v = build_unitaries(UnitaryParams(tuple(theta[:na]), tuple(theta[na:])), shape)
         x0 = _pack(u[:, cols], v[:, cols])
         res = minimize(neg_f, x0, jac=neg_grad, options={"maxiter": cfg.max_iters, "gtol": GTOL})
         cand = -float(res.fun)
@@ -508,7 +536,7 @@ def maximize_violation(
     qb, _ = _gram_schmidt(z[:, shape.dim_a :])
     params = UnitaryParams(_theta(qa.T, pair), _theta(qb.T, pair))
     y = evaluate_pair(rho, pair, build_unitaries(params, shape))
-    return _report(rho, pair, params, y, evaluations)
+    return _report(rho, pair, params, y, evaluations, ppt_min)
 
 
 # Each named family's constructor (named after it in ``states``) and shape.

@@ -45,16 +45,10 @@ def test_tracer_hook_names_resolve():
         assert isinstance(shape, BipartiteShape)
 
 
-def test_search_calls_minimize_through_the_module(monkeypatch):
-    # The tracer counts starts and objective calls by replacing
-    # search.minimize; a search that reaches the optimizer another way
-    # escapes it. Two restart counts give two different start counts.
+def _count_minimize(monkeypatch):
+    """Replace search.minimize with a counting pass-through, as the tracer
+    does; returns the lists it appends to per start and per objective call."""
     search = importlib.import_module("entcert.search")
-    rho = horodecki33(5.0)
-    few = SearchConfig(seed=0, restarts=2)
-    more = SearchConfig(seed=0, restarts=5)
-    plain = {cfg: maximize_violation(rho, cfg) for cfg in (few, more)}
-
     starts, calls = [], []
     real = search.minimize
 
@@ -67,12 +61,43 @@ def test_search_calls_minimize_through_the_module(monkeypatch):
         return real(counted, x0, *args, **kwargs)
 
     monkeypatch.setattr(search, "minimize", counting_minimize)
+    return starts, calls
+
+
+def test_search_calls_minimize_through_the_module(monkeypatch):
+    # The tracer counts starts and objective calls by replacing
+    # search.minimize; a search that reaches the optimizer another way
+    # escapes it. Two restart counts give two different start counts.
+    rho = horodecki33(5.0)
+    few = SearchConfig(seed=0, restarts=2)
+    more = SearchConfig(seed=0, restarts=5)
+    plain = {cfg: maximize_violation(rho, cfg) for cfg in (few, more)}
+
+    starts, calls = _count_minimize(monkeypatch)
     for cfg, expected_starts in ((few, 3), (more, 6)):
         starts.clear()
         calls.clear()
         traced = maximize_violation(rho, cfg)
         assert len(starts) == expected_starts
         assert len(calls) == traced.evaluations
+        assert traced == plain[cfg]
+
+
+def test_gated_search_still_calls_minimize_through_the_module(monkeypatch):
+    # A state whose partial transpose is proven positive runs the zero start
+    # alone, whatever the restart count, and that start still goes through
+    # search.minimize: the tracer sees one start and every objective call.
+    rho = horodecki33(3.5)
+    cfgs = (SearchConfig(seed=0, restarts=2), SearchConfig(seed=0, restarts=5))
+    plain = {cfg: maximize_violation(rho, cfg) for cfg in cfgs}
+
+    starts, calls = _count_minimize(monkeypatch)
+    for cfg in cfgs:
+        starts.clear()
+        calls.clear()
+        traced = maximize_violation(rho, cfg)
+        assert len(starts) == 1
+        assert len(calls) == traced.evaluations >= 1
         assert traced == plain[cfg]
 
 

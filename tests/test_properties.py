@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entcert import (
     BipartiteShape,
     DensityMatrix,
+    SearchConfig,
     UnitaryParams,
     build_unitaries,
     evaluate_at_identity,
@@ -23,8 +24,8 @@ from entcert import (
     werner,
 )
 from entcert.search import F_RTOL
-from entcert.witness import VIOLATION_TOL
-from conftest import random_hermitian
+from entcert.witness import PPT_TOL, VIOLATION_TOL, Verdict
+from conftest import noisy_random_state, random_hermitian
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
 _angle = st.floats(-np.pi, np.pi, allow_nan=False)
@@ -63,6 +64,28 @@ def test_violation_implies_npt(case):
     assert ppt_min <= (y.y3 - np.hypot(y.y1, y.y2)) / 2 + 1e-12
     if y.f > VIOLATION_TOL:
         assert ppt_min < 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**32 - 1), st.data())
+def test_proven_ppt_state_never_violates(m, n, seed, data):
+    """The search skips its random starts when ppt_min > PPT_TOL. That is
+    sound because such a computed minimum proves rho^Gamma >= 0, and then
+    f = 4((Re c)^2 - ab) <= 0 at every point: a, b and c are entries of
+    rho^Gamma between two product vectors (Cauchy-Schwarz). The noise-mixed
+    random states are complex and PPT for some seeds, NPT for others."""
+    rho = noisy_random_state(m, n, seed)
+    assume(ppt_min_eigenvalue(rho) > PPT_TOL)
+    params = UnitaryParams(
+        tuple(data.draw(st.lists(_angle, min_size=m * m - 1, max_size=m * m - 1))),
+        tuple(data.draw(st.lists(_angle, min_size=n * n - 1, max_size=n * n - 1))),
+    )
+    uv = build_unitaries(params, rho.shape)
+    for pair in valid_pairs(rho.shape):
+        assert evaluate_pair(rho, pair, uv).f <= 1e-12, pair
+    rep = maximize_violation(rho, SearchConfig(restarts=2, seed=seed))
+    assert rep.verdict is not Verdict.ENTANGLED_CERTIFIED
+    assert rep.best_f <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)

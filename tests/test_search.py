@@ -37,7 +37,8 @@ from entcert.search import (
 )
 from entcert.dmfile import read_density
 from entcert.states import FAMILY_PARAMS
-from entcert.witness import evaluate_pair, evaluate_pair_grad
+from entcert.witness import PPT_TOL, evaluate_pair, evaluate_pair_grad, ppt_min_eigenvalue
+from conftest import noisy_random_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -418,30 +419,105 @@ def test_every_pair_is_pair_one_two_after_a_signed_permutation(m, n):
                 assert np.float64(a).tobytes() == np.float64(b).tobytes(), (j, k, name)
 
 
+def _counted_search(monkeypatch, rho, cfg):
+    """maximize_violation with search.minimize wrapped, as the benchmark's
+    tracer wraps it: the report, each start's x0 and the objective calls."""
+    import entcert.search as search_mod
+
+    starts, calls = [], []
+    real_minimize = search_mod.minimize
+
+    def counting(fun, x0, jac, options):
+        def counted(x):
+            calls.append(1)
+            return fun(x)
+
+        starts.append(x0)
+        return real_minimize(counted, x0, jac, options)
+
+    monkeypatch.setattr(search_mod, "minimize", counting)
+    rep = maximize_violation(rho, cfg)
+    monkeypatch.undo()
+    return rep, starts, len(calls)
+
+
+def _identity_start(shape):
+    eye = LocalUnitaryPair.identity(shape)
+    return _pack(eye.u[:, :2], eye.v[:, :2])
+
+
 def test_default_search_reaches_other_pairs_through_one_two(monkeypatch):
     # The singlet on levels (2, 3): at the identity only pair (2, 3) sees
     # it, and the default search finds it through pair (1, 2).
-    import entcert.search as search_mod
-
     rho = _singlet_on_levels_2_3()
-    starts = []
-    real_minimize = search_mod.minimize
-
-    def recording(fun, x0, jac, options):
-        starts.append(x0)
-        return real_minimize(fun, x0, jac, options)
-
-    monkeypatch.setattr(search_mod, "minimize", recording)
     for seed in range(4):
-        starts.clear()
-        rep = maximize_violation(rho, SearchConfig(seed=seed))
+        rep, starts, _ = _counted_search(monkeypatch, rho, SearchConfig(seed=seed))
         assert rep.best_pair == (1, 2)
         assert rep.best_f >= 1 - 1e-8, seed
         assert rep.verdict is Verdict.ENTANGLED_CERTIFIED
         # one pass over the starts, beginning at columns 1, 2 of the identity
         assert len(starts) == SearchConfig().restarts + 1
-        eye = np.eye(3, dtype=complex)[:, :2]
-        assert starts[0].tobytes() == _pack(eye, eye).tobytes()
+        assert starts[0].tobytes() == _identity_start(rho.shape).tobytes()
+
+
+PROVEN_PPT = {
+    "horodecki33(2.5)": lambda: ec.horodecki33(2.5),
+    "horodecki33(3.0)": lambda: ec.horodecki33(3.0),
+    "horodecki33(3.5)": lambda: ec.horodecki33(3.5),
+    "iso23(0.1)": lambda: ec.iso23(0.1),
+    "werner(0.2)": lambda: ec.werner(0.2),
+    # full rank: more product terms than twice the order
+    "random_separable(3x3, terms=18)": lambda: ec.random_separable(BipartiteShape(3, 3), terms=18, seed=0)[0],
+}
+# Computed ppt_min within PPT_TOL of 0 (about +-5e-17): inside the band, so
+# the gate cannot prove rho^Gamma >= 0 and every start runs.
+IN_BAND = {
+    "werner(1/3)": lambda: ec.werner(1 / 3),
+    "iso23(0.25)": lambda: ec.iso23(0.25),
+    "horodecki33(4.0)": lambda: ec.horodecki33(4.0),
+    # rank deficient: 6 product terms in order 9
+    "random_separable(3x3, terms=6)": lambda: ec.random_separable(BipartiteShape(3, 3), terms=6, seed=0)[0],
+}
+NPT = {
+    "werner(1)": lambda: ec.werner(1.0),
+    "iso23(1)": lambda: ec.iso23(1.0),
+    "horodecki33(5)": lambda: ec.horodecki33(5.0),
+}
+
+
+@pytest.mark.parametrize("name", PROVEN_PPT)
+def test_proven_ppt_state_runs_the_zero_start_alone(monkeypatch, name):
+    # rho^Gamma >= 0 bounds f <= 0 everywhere, so the search runs one start,
+    # from the identity's columns, through search.minimize; it counts the
+    # objective calls the benchmark's tracer counts.
+    rho = PROVEN_PPT[name]()
+    ppt_min = ppt_min_eigenvalue(rho)
+    assert ppt_min > PPT_TOL
+    for cfg in (SearchConfig(), SearchConfig(restarts=3, seed=5)):
+        rep, starts, calls = _counted_search(monkeypatch, rho, cfg)
+        assert len(starts) == 1
+        assert starts[0].tobytes() == _identity_start(rho.shape).tobytes()
+        assert calls == rep.evaluations >= 1
+        assert rep.ppt_min == ppt_min
+        assert rep.verdict is not Verdict.ENTANGLED_CERTIFIED
+        assert rep.best_f <= 1e-12
+        assert rep == maximize_violation(rho, cfg)
+
+
+@pytest.mark.parametrize("name", [*IN_BAND, *NPT])
+def test_unproven_state_runs_every_start(monkeypatch, name):
+    rho = {**IN_BAND, **NPT}[name]()
+    ppt_min = ppt_min_eigenvalue(rho)
+    if name in IN_BAND:
+        assert abs(ppt_min) <= PPT_TOL
+    else:
+        assert ppt_min < -PPT_TOL
+    cfg = SearchConfig(restarts=3, seed=5)
+    rep, starts, calls = _counted_search(monkeypatch, rho, cfg)
+    assert len(starts) == cfg.restarts + 1
+    assert starts[0].tobytes() == _identity_start(rho.shape).tobytes()
+    assert calls == rep.evaluations
+    assert rep.ppt_min == ppt_min
 
 
 SHAPES = [(m, n) for m in range(2, 6) for n in range(2, 6)]
@@ -679,15 +755,6 @@ NOISY_CERTIFIED = {
 }
 
 
-def _noisy_random_state(m, n, seed):
-    """random_density mixed with white noise at a seeded weight in [0.3, 1):
-    complex, full rank, and NPT or PPT by turns."""
-    sh = BipartiteShape(m, n)
-    q = np.random.default_rng(seed).uniform(0.3, 1.0)
-    mat = q * ec.random_density(sh, seed=seed).mat + (1 - q) * np.eye(sh.order) / sh.order
-    return ec.DensityMatrix(sh, mat)
-
-
 def _check_not_below_identity_start(rho, rep):
     # The zero start ascends from the identity's f, and the certificate
     # rebuilt from theta holds the best columns up to rounding.
@@ -706,7 +773,7 @@ def test_search_verdicts_pinned():
             _check_not_below_identity_start(rho, rep)
     certified = set()
     for key in NOISY_STATES:
-        rho = _noisy_random_state(*key)
+        rho = noisy_random_state(*key)
         rep = maximize_violation(rho)
         _check_not_below_identity_start(rho, rep)
         if rep.verdict is Verdict.ENTANGLED_CERTIFIED:
@@ -716,9 +783,11 @@ def test_search_verdicts_pinned():
 
 # Summed evaluations of the default search over seeds 0..3 on the states of
 # perfbench's optimize workload: 5415 with the strong-Wolfe line search,
-# 5458 with backtracking. The ceiling sits 10 % above the latter, so a
-# slower optimizer fails here even when the digests below are regenerated.
-EVALUATION_CEILING = 6004
+# 5458 with backtracking, 3577 once a proven-PPT state (horodecki33_3.5,
+# 1885 of those 5458) runs the zero start alone, one evaluation per seed.
+# The ceiling sits 10 % above 3577, so a slower optimizer, or a gate that
+# stops skipping, fails here even when the digests below are regenerated.
+EVALUATION_CEILING = 3934
 
 
 def test_search_evaluation_budget():
@@ -729,12 +798,13 @@ def test_search_evaluation_budget():
 
 # sha256 of json.dumps([maximize_violation(rho, SearchConfig(seed=s)).to_dict()
 # for s in range(4)]) for each shipped state, as recorded when the line
-# search became backtracking. A kernel change that moves one bit of one
-# report shows here. Print both tables afresh with
+# search became backtracking; the two PPT files' entries as recorded when
+# proven-PPT states began to skip the random starts. A kernel change that
+# moves one bit of one report shows here. Print both tables afresh with
 #     PYTHONPATH=src python tests/test_search.py
 REPORT_DIGESTS = {
-    "horodecki33_3.5.dm": "8a26e6a0c5b2bf0a802d63cf95d64b384516f5213eb6463357b2dc266ac9ba3f",
-    "iso23_0.0.dm": "6f9884ef3943e7dc1ce78cfb5e716294317e57e1264dffced0fa4cc447e3a35d",
+    "horodecki33_3.5.dm": "a8aa9d00d56fd25ed240adb739f8d63d4c21538a20a6001656ed0daec4977039",
+    "iso23_0.0.dm": "4836cbe8a92551661d355b5468857c7b14852c595c4a49c4f97603349091321f",
     "iso23_0.26.dm": "37d56816a9df3734966bd4646cf7e7c3b7d3ff5b205f18cb09f1b9e12b5ec4e3",
     "werner_0.5.dm": "24e9bfbaac476fde920cad2e98fd4f08f7cacccb07bdf1a3faab7549c113e87f",
     "werner_1.0.dm": "b7fd9197ee08d309873c285a310b7d057c0cc9f55504956a306b658dd1f512a5",
