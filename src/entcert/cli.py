@@ -87,9 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                "which reaches every pair)")
     p_detect.add_argument("--seed", type=int, default=0, help="search seed")
     p_detect.add_argument("--restarts", type=int, default=16,
-                          help="random restarts besides the zero start; skipped when "
-                               "the partial transpose is proven positive, where no "
-                               "start can violate")
+                          help="random restarts after the zero start and the start "
+                               "at the partial transpose's lowest eigenvector; skipped "
+                               "when the partial transpose is proven positive, where "
+                               "no start can violate, and once a start certifies at "
+                               "the bound no start can exceed")
     p_detect.add_argument("--json", action="store_true", dest="as_json",
                           help="print the report as a single JSON line")
     p_detect.set_defaults(func=_cmd_detect)

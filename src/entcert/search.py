@@ -11,16 +11,27 @@ the search optimises those columns directly: free complex matrices A
 (M x 2) and B (N x 2), which Gram-Schmidt maps to orthonormal columns.
 Every orthonormal pair of columns is columns j, k of some u in SU(M), so
 nothing is lost. Maximization is multi-start L-BFGS with the analytic
-gradient of the violation over A and B: one deterministic start at the
-identity's columns plus seeded random starts, each drawn as theta and
-exponentiated once, merged by best violation with ties broken toward the
-earliest restart. The winning columns are turned back into theta, and the
-certificate is evaluated at the unitaries rebuilt from it. When the
-partial transpose is proven positive (its computed minimum eigenvalue is
-above PPT_TOL, far above the eigen-solve's rounding), f <= 0 everywhere and
-no start can certify, so the zero start runs alone. The optimizer,
-:func:`minimize`, is this module's own numpy L-BFGS with a backtracking
-line search, so a search needs numpy only.
+gradient of the violation over A and B, merged by best violation with ties
+broken toward the earliest start. The starts, in order: the identity's
+columns; the eigenvector start, read in closed form off the lowest
+eigenvector of the partial transpose rho^Gamma; then seeded random starts,
+each drawn as theta and exponentiated once. The winning columns are turned
+back into theta, and the certificate is evaluated at the unitaries rebuilt
+from it. The optimizer, :func:`minimize`, is this module's own numpy
+L-BFGS with a backtracking line search, so a search needs numpy only.
+
+With a = <x|rho^Gamma|x>, b = <y|rho^Gamma|y> and c = <x|rho^Gamma|y> for
+the orthonormal product vectors x = u_j (x) conj(v_j) and
+y = u_k (x) conj(v_k), the violation is f = 4((Re c)^2 - ab). So one
+eigen-solve of rho^Gamma, shared with the report's ``ppt_min``, settles
+how far the search need go:
+- when rho^Gamma is proven positive (its computed minimum eigenvalue is
+  above PPT_TOL, far above the eigen-solve's rounding), f <= 0 everywhere
+  and no start can certify, so the zero start runs alone;
+- otherwise f <= B = 4 max(0, -lambda_min) lambda_max everywhere, by
+  interlacing, and the search stops after the first start that certifies
+  and reaches B. The eigenvector start reaches B on the named states, so
+  their searches end after two starts at most.
 
 By default the search runs the level pair (1, 2). A signed permutation
 P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
@@ -47,6 +58,7 @@ from .linalg import EPS, BipartiteShape, unitary_exp
 from .states import FAMILY_PARAMS, DensityMatrix, rotation_u
 from .witness import (
     PPT_TOL,
+    VIOLATION_TOL,
     LocalUnitaryPair,
     PptVerdict,
     Verdict,
@@ -57,6 +69,7 @@ from .witness import (
     evaluate_pair,
     evaluate_pair_grad,
     evaluate_pair_states,
+    ppt_eigen,
     ppt_min_eigenvalue,
     valid_pairs,
 )
@@ -71,6 +84,7 @@ ARMIJO_C1 = 1e-4  # sufficient decrease
 MAX_LINE_EVALS = 20  # evaluations one line search may spend
 F_RTOL = 1e7 * EPS  # stop when an iteration lowers f by less, relatively
 GTOL = 1e-7  # a search start has converged once max|gradient| <= GTOL
+BOUND_TOL = 1e-12  # a start within this of the spectral bound ends the search
 
 
 class MinimizeStatus(IntEnum):
@@ -215,7 +229,9 @@ class UnitaryParams:
 class SearchConfig:
     """Budget and determinism knobs for the violation search.
 
-    restarts: random starts besides the zero start, an integer.
+    restarts: seeded random starts after the zero and eigenvector starts,
+        an integer. They run only while no start has certified and reached
+        the spectral bound (see :func:`maximize_violation`).
     max_iters: L-BFGS iterations per start; a fractional cap stops at its ceiling.
     seed: root of the per-restart random substreams, an integer.
     pair: the level pair (j, k) to search, integers with 1 <= j < k; None
@@ -375,6 +391,28 @@ def _pack(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.stack((z.real, z.imag), axis=-1).ravel()
 
 
+def _eigenvector_start(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
+    """The search variables whose columns hold the top two Schmidt terms of
+    z, an eigenvector of rho^Gamma: the eigenvector start.
+
+    With z reshaped to M x N and its SVD e S fh, z = sum_s S_s e_s (x) f_s,
+    where e_s are the columns of e and f_s the rows of fh. The start puts
+    e_1, e_2 in u's columns and conj(f_1), conj(f_2) in v's, so the product
+    vectors x = u_1 (x) conj(v_1) and y = u_2 (x) conj(v_2) that a, b and c
+    read (see the module docstring) are e_1 (x) f_1 and e_2 (x) f_2. Then
+    u_1's phase is turned so that c = <u_1 v_2|rho|u_2 v_1>, the same
+    number as <x|rho^Gamma|y>, is real and positive: f = 4((Re c)^2 - ab)
+    is largest there over that phase.
+    """
+    m, n = rho.shape.dim_a, rho.shape.dim_b
+    e, _, fh = np.linalg.svd(z.reshape(m, n), full_matrices=False)
+    u2, v2 = e[:, :2], fh[:2].conj().T
+    c = np.kron(u2[:, 0], v2[:, 1]).conj() @ rho.mat @ np.kron(u2[:, 1], v2[:, 0])
+    if c:
+        u2[:, 0] *= c / abs(c)
+    return _pack(u2, v2)
+
+
 def _theta(q: np.ndarray, levels: tuple[int, int]) -> tuple[float, ...]:
     """Generator coefficients theta whose exp(i sum_a theta_a g_a) has q's
     two orthonormal columns at the levels (j, k), up to one global phase.
@@ -455,26 +493,33 @@ def maximize_violation(
     (1, 2) point with the same y values (see the module docstring).
 
     L-BFGS ascents (:func:`minimize`) over the pair's columns of u and v
-    (:func:`_column_objective`) run from the zero start and from
+    (:func:`_column_objective`) run, in order, from the zero start, from
+    the eigenvector start (:func:`_eigenvector_start`) and from
     cfg.restarts random starts (theta entries uniform in [-pi, pi],
-    substream seeded by the restart index), each capped at cfg.max_iters
-    iterations with gradient max-norm tolerance GTOL. The best point over
-    all runs, the earliest on ties, is read off as theta
+    substream seeded by the restart index r = 1, 2, ...), each capped at
+    cfg.max_iters iterations with gradient max-norm tolerance GTOL. The
+    best point over all runs, the earliest on ties, is read off as theta
     (:func:`_theta`), and the certificate is evaluated at the unitaries
     :func:`build_unitaries` rebuilds from it, so the reported violation
     never depends on trusting the optimizer's bookkeeping. ``evaluations``
     counts value-and-gradient evaluations.
 
-    The random starts are skipped, and the zero start runs alone, when
-    :func:`ppt_min_eigenvalue` exceeds PPT_TOL: that proves the partial
-    transpose positive, and then f <= 0 at every point (see the comment at
-    the gate), so no start could certify. The report reuses that one
-    eigen-solve.
+    One eigen-solve of the partial transpose (:func:`ppt_eigen`) decides
+    how many starts run, and the report reuses its minimum eigenvalue:
+    - the zero start runs alone when that minimum exceeds PPT_TOL, which
+      proves the partial transpose positive, and then f <= 0 at every point
+      (see the comment at the gate), so no start could certify;
+    - otherwise the search stops after the first start whose best violation
+      certifies and lies within BOUND_TOL of the spectral bound
+      B = 4 max(0, -lambda_min) lambda_max, which no point exceeds (see the
+      comment at the stop), so the later starts could not raise best_f by
+      more than about BOUND_TOL.
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
     pair = check_pair(cfg.pair or (1, 2), shape)
-    ppt_min = ppt_min_eigenvalue(rho)
+    vals, vecs = ppt_eigen(rho)
+    ppt_min = float(vals[0])
     # a, b and c are entries of rho^Gamma between two product vectors, so
     # f = 4((Re c)^2 - ab) <= 0 everywhere when rho^Gamma >= 0 (Cauchy-Schwarz)
     # and no start can certify. ppt_min > PPT_TOL proves rho^Gamma >= 0:
@@ -488,7 +533,8 @@ def maximize_violation(
     # state above it runs the zero start alone. States inside the band keep
     # every start. Either way no verdict moves: a PPT state's exact f is <= 0,
     # never above VIOLATION_TOL.
-    starts = 1 if ppt_min > PPT_TOL else cfg.restarts + 1
+    proven_ppt = ppt_min > PPT_TOL
+    bound = 4 * max(0.0, -ppt_min) * float(vals[-1])
     na, nb = shape.dim_a**2 - 1, shape.dim_b**2 - 1
     cols = [pair[0] - 1, pair[1] - 1]
     evaluate = _column_objective(rho)
@@ -517,19 +563,40 @@ def maximize_violation(
     # with cfg.restarts. The spawn key's leading 0 keeps every seed's starts
     # as they were when the search looped over several pairs. A random
     # start's theta is exponentiated once, and the ascent begins at its
-    # columns j, k; the zero start's are the identity's, bit for bit.
-    for r in range(starts):
-        if r == 0:
-            u, v = LocalUnitaryPair.identity(shape)
-        else:
+    # columns j, k; the zero start's are the identity's, bit for bit. The
+    # zero start stays first, so a state whose identity columns already
+    # reach the bound keeps theta = 0 (ties go to the earliest start).
+    def starts():
+        u, v = LocalUnitaryPair.identity(shape)
+        yield _pack(u[:, cols], v[:, cols])
+        if proven_ppt:
+            return
+        yield _eigenvector_start(rho, vecs[:, 0])
+        for r in range(1, cfg.restarts + 1):
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, r))
             theta = np.random.default_rng(seq).uniform(-np.pi, np.pi, na + nb).tolist()
             u, v = build_unitaries(UnitaryParams(tuple(theta[:na]), tuple(theta[na:])), shape)
-        x0 = _pack(u[:, cols], v[:, cols])
+            yield _pack(u[:, cols], v[:, cols])
+
+    for x0 in starts():
         res = minimize(neg_f, x0, jac=neg_grad, options={"maxiter": cfg.max_iters, "gtol": GTOL})
         cand = -float(res.fun)
         if best is None or cand > best[0]:
             best = (cand, np.array(res.x))
+        # No point exceeds the bound, so no skipped start could beat best_f
+        # by more than about BOUND_TOL:
+        # - at orthonormal columns, x and y (module docstring) are
+        #   orthonormal, so [[a, c], [conj(c), b]] is a compression of
+        #   rho^Gamma, and its eigenvalues mu_1 <= mu_2 lie in
+        #   [lambda_min, lambda_max] (Cauchy interlacing). So
+        #   f / 4 <= |c|^2 - ab = -mu_1 mu_2 <= max(0, -lambda_min) lambda_max;
+        # - the computed eigenvalues are within p(n) eps ||rho||_F of the
+        #   exact ones by Weyl, as at the gate, and f's own rounding is of
+        #   order eps; BOUND_TOL is far above both.
+        # The stop also needs best_f > VIOLATION_TOL, so the verdict is
+        # already certified and no later start could move it.
+        if best[0] > VIOLATION_TOL and best[0] >= bound - BOUND_TOL:
+            break
 
     z = best[1].view(complex).reshape(2, -1)
     qa, _ = _gram_schmidt(z[:, : shape.dim_a])

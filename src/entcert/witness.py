@@ -361,10 +361,14 @@ def check_inequality(y: YValues) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def ppt_eigen(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of the B-partial-transposed state."""
+    return hermitian_eigen(partial_transpose_b(rho.mat, rho.shape))
+
+
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the B-partial-transposed state."""
-    vals, _ = hermitian_eigen(partial_transpose_b(rho.mat, rho.shape))
-    return float(vals[0])
+    return float(ppt_eigen(rho)[0][0])
 
 
 def classify_ppt(min_eig: float, shape: BipartiteShape) -> PptVerdict:

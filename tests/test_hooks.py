@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from entcert import BipartiteShape, SearchConfig, horodecki33, maximize_violation
+from entcert import BipartiteShape, SearchConfig, horodecki33, maximize_violation, werner
+from conftest import noisy_random_state
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -67,20 +68,45 @@ def _count_minimize(monkeypatch):
 def test_search_calls_minimize_through_the_module(monkeypatch):
     # The tracer counts starts and objective calls by replacing
     # search.minimize; a search that reaches the optimizer another way
-    # escapes it. Two restart counts give two different start counts.
-    rho = horodecki33(5.0)
-    few = SearchConfig(seed=0, restarts=2)
-    more = SearchConfig(seed=0, restarts=5)
-    plain = {cfg: maximize_violation(rho, cfg) for cfg in (few, more)}
+    # escapes it. Starts per restart count (2 and 5), for two NPT states:
+    cases = {
+        # no start reaches the spectral bound, so the zero start, the
+        # eigenvector start and every seeded start run;
+        "noisy 3x3 #0": (noisy_random_state(3, 3, 0), {2: 4, 5: 7}),
+        # the eigenvector start reaches it, whatever the restart count.
+        "horodecki33(5)": (horodecki33(5.0), {2: 2, 5: 2}),
+    }
+    plain = {
+        (name, restarts): maximize_violation(rho, SearchConfig(seed=0, restarts=restarts))
+        for name, (rho, expected) in cases.items()
+        for restarts in expected
+    }
 
     starts, calls = _count_minimize(monkeypatch)
-    for cfg, expected_starts in ((few, 3), (more, 6)):
-        starts.clear()
-        calls.clear()
-        traced = maximize_violation(rho, cfg)
-        assert len(starts) == expected_starts
-        assert len(calls) == traced.evaluations
-        assert traced == plain[cfg]
+    for name, (rho, expected) in cases.items():
+        for restarts, expected_starts in expected.items():
+            starts.clear()
+            calls.clear()
+            traced = maximize_violation(rho, SearchConfig(seed=0, restarts=restarts))
+            assert len(starts) == expected_starts, (name, restarts)
+            assert len(calls) == traced.evaluations
+            assert traced == plain[name, restarts]
+
+
+def test_search_stopped_after_its_first_start_still_calls_minimize(monkeypatch):
+    # werner(1)'s identity columns already reach the spectral bound, so its
+    # search ends after the zero start. perfbench/run.py reads the tracer's
+    # minimize span with no default, so even that search must pass through
+    # search.minimize, and the tracer must count every objective call.
+    rho = werner(1.0)
+    cfg = SearchConfig(seed=0)
+    plain = maximize_violation(rho, cfg)
+
+    starts, calls = _count_minimize(monkeypatch)
+    traced = maximize_violation(rho, cfg)
+    assert len(starts) == 1
+    assert len(calls) == traced.evaluations >= 1
+    assert traced == plain
 
 
 def test_gated_search_still_calls_minimize_through_the_module(monkeypatch):

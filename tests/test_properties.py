@@ -23,8 +23,8 @@ from entcert import (
     valid_pairs,
     werner,
 )
-from entcert.search import F_RTOL
-from entcert.witness import PPT_TOL, VIOLATION_TOL, Verdict
+from entcert.search import F_RTOL, _column_objective, _eigenvector_start
+from entcert.witness import PPT_TOL, VIOLATION_TOL, Verdict, ppt_eigen
 from conftest import noisy_random_state, random_hermitian
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -32,8 +32,8 @@ _angle = st.floats(-np.pi, np.pi, allow_nan=False)
 
 
 @st.composite
-def state_and_point(draw):
-    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+def state_and_point(draw, max_b=4):
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, max_b))
     sh = BipartiteShape(m, n)
     rank = draw(st.integers(1, sh.order))
     re = np.array(draw(st.lists(_unit, min_size=sh.order * rank, max_size=sh.order * rank)))
@@ -133,3 +133,75 @@ def test_search_invariant_under_local_unitaries(seed, name):
     assert rep_moved.verdict == rep.verdict
     tol = 10 * F_RTOL * max(abs(rep.best_f), 1.0)
     assert abs(rep_moved.best_f - rep.best_f) <= tol, (rep.best_f, rep_moved.best_f)
+
+
+def _eigenvector_start_f(rho):
+    """f at the search's eigenvector start, and ppt_eigen's eigenvalues."""
+    vals, vecs = ppt_eigen(rho)
+    return _column_objective(rho)(_eigenvector_start(rho, vecs[:, 0]))[0], vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_eigenvector_start_certifies_every_npt_2xd_state(n, seed):
+    """In 2 x d the lowest eigenvector z of rho^Gamma has Schmidt rank <= 2,
+    so the eigenvector start holds all of it, and there f >= 4 lambda_min^2
+    (up to rounding; Werner's singlet gives equality). With
+    lambda_min < -1e-4 that is above VIOLATION_TOL, so the search certifies
+    whatever its random starts do. The states are complex: a start that put
+    f_1, f_2 in v's columns instead of their conjugates fails here, though
+    it passes on the real named states."""
+    rho = noisy_random_state(2, n, seed)
+    f, vals = _eigenvector_start_f(rho)
+    lam = float(vals[0])
+    assume(lam < -1e-4)
+    assert f >= 4 * lam * lam - 1e-12, (f, lam)
+    rep = maximize_violation(rho, SearchConfig(restarts=1, seed=seed))
+    assert rep.verdict is Verdict.ENTANGLED_CERTIFIED
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_and_point(max_b=5))
+def test_violation_never_exceeds_the_spectral_bound(case):
+    """[[a, c], [c*, b]] is a compression of rho^Gamma, so its eigenvalues
+    lie in [lambda_min, lambda_max] and f = 4((Re c)^2 - ab) <= B =
+    4 max(0, -lambda_min) lambda_max at every point: the search's stop at B
+    gives up nothing. The search also never ends below its eigenvector
+    start, which it runs whenever rho^Gamma is not proven positive."""
+    rho, pair, params = case
+    start_f, vals = _eigenvector_start_f(rho)
+    bound = 4 * max(0.0, -float(vals[0])) * float(vals[-1])
+    uv = build_unitaries(params, rho.shape)
+    assert evaluate_pair(rho, pair, uv).f <= bound + 1e-12
+    rep = maximize_violation(rho, SearchConfig(restarts=2, seed=0))
+    assert rep.best_f <= bound + 1e-12
+    if vals[0] <= PPT_TOL:
+        assert rep.best_f >= start_f - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_and_point(), st.integers(0, 2**32 - 1))
+def test_eigenvector_start_invariant_under_swap_and_local_unitaries(case, seed):
+    """Swapping A and B turns rho^Gamma into S (rho^Gamma)^T S, and
+    (U x V) rho (U x V)^dag turns it into (U x conj(V)) rho^Gamma (...)^dag:
+    the lowest eigenvector and its Schmidt terms move along, and the start's
+    f stays. A degenerate lowest eigenvalue, or a tie among the top three
+    Schmidt coefficients, leaves the start a choice that can move f (the
+    singlet-like pure states of 2 x 2 do), so only states with clear gaps
+    are kept."""
+    rho, _, _ = case
+    m, n = rho.shape.dim_a, rho.shape.dim_b
+    vals, vecs = ppt_eigen(rho)
+    schmidt = np.linalg.svd(vecs[:, 0].reshape(m, n), compute_uv=False)
+    assume(vals[1] - vals[0] > 1e-3)
+    assume((np.diff(schmidt[:3]) < -1e-3).all())
+    f, _ = _eigenvector_start_f(rho)
+
+    swapped = rho.mat.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
+    f_swapped, _ = _eigenvector_start_f(DensityMatrix(BipartiteShape(n, m), swapped))
+    assert abs(f_swapped - f) <= 1e-9, (f, f_swapped)
+
+    rng = np.random.default_rng(seed)
+    w = tensor(unitary_exp(random_hermitian(rng, m)), unitary_exp(random_hermitian(rng, n)))
+    f_moved, _ = _eigenvector_start_f(DensityMatrix(rho.shape, w @ rho.mat @ w.conj().T))
+    assert abs(f_moved - f) <= 1e-9, (f, f_moved)

@@ -29,6 +29,7 @@ from entcert.search import (
     MinimizeStatus,
     _backtrack,
     _column_objective,
+    _eigenvector_start,
     _gram_schmidt,
     _lbfgs_direction,
     _pack,
@@ -37,7 +38,7 @@ from entcert.search import (
 )
 from entcert.dmfile import read_density
 from entcert.states import FAMILY_PARAMS
-from entcert.witness import PPT_TOL, evaluate_pair, evaluate_pair_grad, ppt_min_eigenvalue
+from entcert.witness import PPT_TOL, evaluate_pair, evaluate_pair_grad, ppt_eigen, ppt_min_eigenvalue
 from conftest import noisy_random_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -333,7 +334,9 @@ def test_minimize_is_deterministic():
 
 def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
     # A stand-in optimizer that stops at its start: memory must not grow
-    # with the number of restarts, and the starts are the seeded draws.
+    # with the number of restarts, and the starts are the zero start, the
+    # eigenvector start and then the seeded draws. The stand-in's f = 0
+    # never certifies, so no start ends the search early.
     import tracemalloc
 
     import entcert.search as search_mod
@@ -360,6 +363,7 @@ def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
         u, v = build_unitaries(UnitaryParams(tuple(theta[:8]), tuple(theta[8:])), rho.shape)
         z = [w[i, s] for s in (0, 1) for w in (u, v) for i in range(3)]
         starts.append(np.array([(t.real, t.imag) for t in z]).ravel())
+    starts.insert(1, _eigenvector_start(rho, ppt_eigen(rho)[1][:, 0]))
     assert [x.tobytes() for x in seen] == [x.tobytes() for x in starts]
     # the zero start is exactly the identity columns
     e1, e2 = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
@@ -455,9 +459,11 @@ def test_default_search_reaches_other_pairs_through_one_two(monkeypatch):
         assert rep.best_pair == (1, 2)
         assert rep.best_f >= 1 - 1e-8, seed
         assert rep.verdict is Verdict.ENTANGLED_CERTIFIED
-        # one pass over the starts, beginning at columns 1, 2 of the identity
-        assert len(starts) == SearchConfig().restarts + 1
+        # the identity's columns 1, 2 see nothing; the eigenvector start
+        # reaches the spectral bound 1, and the search stops there
+        assert len(starts) == 2
         assert starts[0].tobytes() == _identity_start(rho.shape).tobytes()
+        assert starts[1].tobytes() == _eigenvector_start(rho, ppt_eigen(rho)[1][:, 0]).tobytes()
 
 
 PROVEN_PPT = {
@@ -478,10 +484,13 @@ IN_BAND = {
     # rank deficient: 6 product terms in order 9
     "random_separable(3x3, terms=6)": lambda: ec.random_separable(BipartiteShape(3, 3), terms=6, seed=0)[0],
 }
+# Named NPT states and the starts their searches run: each certifies at the
+# spectral bound 4 max(0, -lambda_min) lambda_max, werner(1) already at the
+# identity's columns and the others at the eigenvector start.
 NPT = {
-    "werner(1)": lambda: ec.werner(1.0),
-    "iso23(1)": lambda: ec.iso23(1.0),
-    "horodecki33(5)": lambda: ec.horodecki33(5.0),
+    "werner(1)": (lambda: ec.werner(1.0), 1),
+    "iso23(1)": (lambda: ec.iso23(1.0), 2),
+    "horodecki33(5)": (lambda: ec.horodecki33(5.0), 2),
 }
 
 
@@ -506,16 +515,25 @@ def test_proven_ppt_state_runs_the_zero_start_alone(monkeypatch, name):
 
 @pytest.mark.parametrize("name", [*IN_BAND, *NPT])
 def test_unproven_state_runs_every_start(monkeypatch, name):
-    rho = {**IN_BAND, **NPT}[name]()
+    # In the band no start can certify, so the zero start, the eigenvector
+    # start and every seeded start run; a named NPT state stops at the
+    # first start that certifies and reaches the spectral bound.
+    cfg = SearchConfig(restarts=3, seed=5)
+    if name in IN_BAND:
+        rho, expected_starts = IN_BAND[name](), cfg.restarts + 2
+    else:
+        make, expected_starts = NPT[name]
+        rho = make()
     ppt_min = ppt_min_eigenvalue(rho)
     if name in IN_BAND:
         assert abs(ppt_min) <= PPT_TOL
     else:
         assert ppt_min < -PPT_TOL
-    cfg = SearchConfig(restarts=3, seed=5)
     rep, starts, calls = _counted_search(monkeypatch, rho, cfg)
-    assert len(starts) == cfg.restarts + 1
+    assert len(starts) == expected_starts
     assert starts[0].tobytes() == _identity_start(rho.shape).tobytes()
+    if expected_starts > 1:
+        assert starts[1].tobytes() == _eigenvector_start(rho, ppt_eigen(rho)[1][:, 0]).tobytes()
     assert calls == rep.evaluations
     assert rep.ppt_min == ppt_min
 
@@ -555,6 +573,34 @@ def test_search_gradient_matches_central_differences(m, n):
                 step[i] = eps
                 fd[i] = (value_and_grad(x + step)[0] - value_and_grad(x - step)[0]) / (2 * eps)
             assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad), (pair, x)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 4), (4, 4)])
+def test_eigenvector_start_holds_the_top_schmidt_terms(m, n):
+    # The eigenvector start: x = u_1 (x) conj(v_1) and y = u_2 (x) conj(v_2)
+    # are the top two Schmidt terms of rho^Gamma's lowest eigenvector z, and
+    # u_1's phase is turned so that c = <u_1 v_2|rho|u_2 v_1> is real and
+    # positive, where f = 4((Re c)^2 - ab) is largest over that phase. The
+    # states are complex, so c is complex before the turn.
+    for seed in range(4):
+        rho = noisy_random_state(m, n, seed)
+        z = ppt_eigen(rho)[1][:, 0]
+        schmidt = np.linalg.svd(z.reshape(m, n), compute_uv=False)
+        x0 = _eigenvector_start(rho, z)
+        cols = x0.view(complex).reshape(2, -1)
+        u2, v2 = cols[:, :m].T, cols[:, m:].T
+        assert np.allclose(u2.conj().T @ u2, np.eye(2), rtol=0, atol=1e-14)
+        assert np.allclose(v2.conj().T @ v2, np.eye(2), rtol=0, atol=1e-14)
+        for s in (0, 1):
+            overlap = np.vdot(np.kron(u2[:, s], v2[:, s].conj()), z)
+            assert abs(abs(overlap) - schmidt[s]) <= 1e-14, (seed, s)
+        c = np.kron(u2[:, 0], v2[:, 1]).conj() @ rho.mat @ np.kron(u2[:, 1], v2[:, 0])
+        assert c.real > 0 and abs(c.imag) <= 1e-16, (seed, c)
+        f = _column_objective(rho)(x0)[0]
+        for phase in np.exp(1j * np.linspace(0.5, 6.0, 6)):
+            turned = u2.copy()
+            turned[:, 0] *= phase
+            assert evaluate_pair_grad(rho, turned, v2)[0].f <= f + 1e-15, (seed, phase)
 
 
 def test_gram_schmidt_columns_are_orthonormal():
@@ -784,10 +830,14 @@ def test_search_verdicts_pinned():
 # Summed evaluations of the default search over seeds 0..3 on the states of
 # perfbench's optimize workload: 5415 with the strong-Wolfe line search,
 # 5458 with backtracking, 3577 once a proven-PPT state (horodecki33_3.5,
-# 1885 of those 5458) runs the zero start alone, one evaluation per seed.
-# The ceiling sits 10 % above 3577, so a slower optimizer, or a gate that
-# stops skipping, fails here even when the digests below are regenerated.
-EVALUATION_CEILING = 3934
+# 1885 of those 5458) runs the zero start alone, one evaluation per seed,
+# and 24 once a search stops at the first start that certifies and reaches
+# the spectral bound: werner(1) at the zero start (1 evaluation per seed),
+# iso23(1) and horodecki33(5) at the eigenvector start (2 per seed).
+# The ceiling sits 10 % above 24, so a slower optimizer, a gate that stops
+# skipping or a stop that stops firing fails here even when the digests
+# below are regenerated.
+EVALUATION_CEILING = 26
 
 
 def test_search_evaluation_budget():
@@ -797,17 +847,18 @@ def test_search_evaluation_budget():
 
 
 # sha256 of json.dumps([maximize_violation(rho, SearchConfig(seed=s)).to_dict()
-# for s in range(4)]) for each shipped state, as recorded when the line
-# search became backtracking; the two PPT files' entries as recorded when
-# proven-PPT states began to skip the random starts. A kernel change that
+# for s in range(4)]) for each shipped state: the two PPT files' entries as
+# recorded when proven-PPT states began to skip the random starts, the three
+# NPT files' as recorded when the search began to stop at the spectral
+# bound. A kernel change that
 # moves one bit of one report shows here. Print both tables afresh with
 #     PYTHONPATH=src python tests/test_search.py
 REPORT_DIGESTS = {
     "horodecki33_3.5.dm": "a8aa9d00d56fd25ed240adb739f8d63d4c21538a20a6001656ed0daec4977039",
     "iso23_0.0.dm": "4836cbe8a92551661d355b5468857c7b14852c595c4a49c4f97603349091321f",
-    "iso23_0.26.dm": "37d56816a9df3734966bd4646cf7e7c3b7d3ff5b205f18cb09f1b9e12b5ec4e3",
-    "werner_0.5.dm": "24e9bfbaac476fde920cad2e98fd4f08f7cacccb07bdf1a3faab7549c113e87f",
-    "werner_1.0.dm": "b7fd9197ee08d309873c285a310b7d057c0cc9f55504956a306b658dd1f512a5",
+    "iso23_0.26.dm": "4574395ce9871d79e511b4ee93eafdcdb79a428d7f3430c63279a3b53a1381ed",
+    "werner_0.5.dm": "9e5a2aa10e0cb2e91f9e16d068f0b153b6df32bc0613b1b9eb35091126f9177e",
+    "werner_1.0.dm": "492c31cb5cf71f6fad7e7458192d23be3bc135da91158b8265e8ead13eddad7e",
 }
 
 
@@ -830,10 +881,10 @@ def test_search_reports_pinned_on_shipped_states():
 # 0 and 1, on shapes no shipped file has: either side larger, and a square
 # shape beyond 3x3.
 RANDOM_REPORT_DIGESTS = {
-    "2x5": "85c82960f333bc8a8d26c0d7b1fe3aeb896e87efcc51fdf95d1d507cad9451c4",
-    "3x4": "49696a234f32ef26e9e730faf3c26851506730e2a470269361974aed4620b3c9",
-    "4x3": "ed95da28c4cd8b5883610e8a4e49ed79b0e25f2308b84eb78b39087063c999c8",
-    "4x4": "a701fdc136c6abf59f8dbb1d927e564765be478edc78caea8ca66e140a629fb4",
+    "2x5": "c3286d70c5b2ba9339cac77c7b5fb8993151d40c5b583d9619c8f9849b08ed8f",
+    "3x4": "54e943ca67f9850ed957ed5d03cce4b119d868520b925b3b6c5e5615d32c08c6",
+    "4x3": "538dcb21b0d24e2b533bb25c23bae38364ce951d9636490e641eadca21da3403",
+    "4x4": "1b73575930af9db8fce8ea72a5d303ad727d3ca02daca0a812d9fc91229277c6",
 }
 
 
