@@ -4,8 +4,8 @@ Everything here works on square ``numpy`` arrays of ``complex128``. Operator
 orders stay tiny (<= 25), so the priorities are correctness and tight,
 testable contracts rather than speed: the eigen-solver and the exponential
 validate their input. None of it runs in the search's inner loop, which
-works on two columns of each local unitary; :func:`unitary_exp` builds the
-unitaries once per search start and once per certificate.
+works on two columns of each local unitary; :func:`unitary_exp` builds a
+search's unitaries only for its certificate.
 """
 
 from __future__ import annotations

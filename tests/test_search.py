@@ -96,11 +96,17 @@ def test_search_config_validation():
     for bad in ({"restarts": 0}, {"seed": -1}, {"max_iters": 0}, {"pair": (2, 1)},
                 {"pair": (0, 1)}, {"pair": (1, 1)}, {"pair": (1.7, 3)}, {"pair": (1, 2.9)},
                 {"pair": 3}, {"pair": (1, 2, 3)}, {"restarts": 2.5}, {"seed": 1.5},
-                {"max_iters": float("nan")}):
+                {"max_iters": float("nan")}, {"max_iters": "400"}, {"max_iters": None}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
     # numpy integers are integers; a fractional iteration cap stays valid
     SearchConfig(restarts=np.int64(2), seed=np.int64(1), max_iters=2.5)
+    # the pair is stored as check_pair returns it: a hashable tuple of Python ints
+    for pair in ([1, 2], (np.int64(1), np.int64(2))):
+        cfg = SearchConfig(pair=pair)
+        assert cfg.pair == (1, 2) and type(cfg.pair) is tuple
+        assert all(type(x) is int for x in cfg.pair)
+        assert hash(cfg) == hash(SearchConfig(pair=(1, 2)))
 
 
 def test_evaluate_at_identity_reports():
@@ -353,26 +359,27 @@ def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
     monkeypatch.setattr(search_mod, "minimize", recording)
     rho = ec.horodecki33(5.0)
     maximize_violation(rho, SearchConfig(restarts=3, seed=11))
-    n = 2 * 8  # generator coefficients on 3x3: 8 per side
+    # Each random start is a standard normal draw of 24 reals from its
+    # substream: the real and imaginary parts of A's column 1 (3 entries),
+    # then B's, then their columns 2, Gram-Schmidt'd per side.
     seqs = [np.random.SeedSequence(11, spawn_key=(0, r)) for r in (1, 2, 3)]
-    draws = [np.random.default_rng(seq).uniform(-np.pi, np.pi, n) for seq in seqs]
-    # each start is the columns 1, 2 of its theta's unitaries: the real and
-    # imaginary parts of column 1 of u, then of v, then of their columns 2
-    starts = []
-    for theta in [np.zeros(n), *draws]:
-        u, v = build_unitaries(UnitaryParams(tuple(theta[:8]), tuple(theta[8:])), rho.shape)
-        z = [w[i, s] for s in (0, 1) for w in (u, v) for i in range(3)]
-        starts.append(np.array([(t.real, t.imag) for t in z]).ravel())
-    starts.insert(1, _eigenvector_start(rho, ppt_eigen(rho)[1][:, 0]))
+    draws = [np.random.default_rng(seq).standard_normal(24) for seq in seqs]
+    starts = [_identity_start(rho.shape), _eigenvector_start(rho, ppt_eigen(rho)[1][:, 0])]
+    for x in draws:
+        z = x.view(complex).reshape(2, 6)
+        qa, qb = _gram_schmidt(z[:, :3])[0], _gram_schmidt(z[:, 3:])[0]
+        starts.append(np.concatenate((qa, qb), axis=1).view(float).ravel())
     assert [x.tobytes() for x in seen] == [x.tobytes() for x in starts]
     # the zero start is exactly the identity columns
     e1, e2 = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
     assert seen[0].tolist() == e1 + e1 + e2 + e2
+    # every random start begins at orthonormal columns on both sides
+    for x in seen[2:]:
+        z = x.view(complex).reshape(2, 6)
+        for q in (z[:, :3], z[:, 3:]):
+            assert np.abs(q.conj() @ q.T - np.eye(2)).max() <= 1e-14
 
     monkeypatch.setattr(search_mod, "minimize", stand_in)
-    # The starts' exponentials only cost time here, most of this test's
-    # under tracemalloc, so fresh identities stand in for them.
-    monkeypatch.setattr(search_mod, "build_unitaries", lambda params, shape: LocalUnitaryPair.identity(shape))
     tracemalloc.start()
     try:
         maximize_violation(rho, SearchConfig(restarts=20000))
@@ -846,6 +853,44 @@ def test_search_evaluation_budget():
     assert total <= EVALUATION_CEILING, total
 
 
+# Summed evaluations of the default search on random_density 3x3, 3x4 and
+# 4x4 at seeds 0..2, states whose searches run their random starts: 7813
+# with theta-drawn starts exponentiated into columns, 7459 with
+# Gram-Schmidt'd Gaussian columns. The ceiling sits 10 % above 7459, so a
+# worse start or a slower optimizer on the random-start path fails here.
+RANDOM_START_EVALUATION_CEILING = 8204
+
+
+def test_random_start_evaluation_budget():
+    shapes = [BipartiteShape(3, 3), BipartiteShape(3, 4), BipartiteShape(4, 4)]
+    total = sum(maximize_violation(ec.random_density(sh, seed=s)).evaluations for sh in shapes for s in range(3))
+    assert total <= RANDOM_START_EVALUATION_CEILING, total
+
+
+EVERY_START = {
+    "horodecki33(4.0)": lambda: ec.horodecki33(4.0),  # in the PPT band
+    "random_density(3x3, seed=0)": lambda: ec.random_density(BipartiteShape(3, 3), seed=0),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_START)
+def test_search_exponentiates_only_for_the_certificate(monkeypatch, name):
+    # Both searches run every start, yet only the certificate's two
+    # unitaries are exponentiated.
+    import entcert.search as search_mod
+
+    calls = []
+    real_exp = search_mod.unitary_exp
+
+    def counting(h):
+        calls.append(h)
+        return real_exp(h)
+
+    monkeypatch.setattr(search_mod, "unitary_exp", counting)
+    maximize_violation(EVERY_START[name]())
+    assert len(calls) == 2
+
+
 # sha256 of json.dumps([maximize_violation(rho, SearchConfig(seed=s)).to_dict()
 # for s in range(4)]) for each shipped state: the two PPT files' entries as
 # recorded when proven-PPT states began to skip the random starts, the three
@@ -879,12 +924,13 @@ def test_search_reports_pinned_on_shipped_states():
 
 # The same for random_density(BipartiteShape(m, n), seed=0) and search seeds
 # 0 and 1, on shapes no shipped file has: either side larger, and a square
-# shape beyond 3x3.
+# shape beyond 3x3. Recorded when the random starts became Gram-Schmidt'd
+# Gaussian columns.
 RANDOM_REPORT_DIGESTS = {
-    "2x5": "c3286d70c5b2ba9339cac77c7b5fb8993151d40c5b583d9619c8f9849b08ed8f",
-    "3x4": "54e943ca67f9850ed957ed5d03cce4b119d868520b925b3b6c5e5615d32c08c6",
-    "4x3": "538dcb21b0d24e2b533bb25c23bae38364ce951d9636490e641eadca21da3403",
-    "4x4": "1b73575930af9db8fce8ea72a5d303ad727d3ca02daca0a812d9fc91229277c6",
+    "2x5": "7839e21768fee53457e472f1cf184ff438be059a07747be6004352980e59ccf5",
+    "3x4": "2bf1092079bcafb59e42bb7a1110107afe549d8fde673e803697b00650532d9f",
+    "4x3": "71c507dbf830db2c113a93b4ab0c13df01a4bd0d468bf387536a85e4a52d78cd",
+    "4x4": "d94e0f72b1cd6377f5f9fbf73e1517adbf89b2665efd4056479e2802a9118fee",
 }
 
 
