@@ -17,7 +17,8 @@ columns; the eigenvector start, read in closed form off the lowest
 eigenvector of the partial transpose rho^Gamma; then seeded random starts,
 Gram-Schmidt of complex Gaussian A and B, so Haar random (Mezzadri,
 Notices AMS 54 (2007) 592). The winning columns are turned back into
-theta, and the certificate is evaluated at the unitaries rebuilt from it.
+theta, and the certificate is evaluated at the unitaries rebuilt from it;
+a zero start that wins without moving reports theta = 0 at the identity.
 The optimizer, :func:`minimize`, is this module's own numpy L-BFGS with a
 backtracking line search, so a search needs numpy only.
 
@@ -33,6 +34,10 @@ how far the search need go:
   interlacing, and the search stops after the first start that certifies
   and reaches B. The eigenvector start reaches B on the named states, so
   their searches end after two starts at most.
+
+What it detects: f > 0 is reachable exactly when rho^Gamma is negative on
+some vector of Schmidt rank <= 2 (1-copy distillability); NPT states with
+no such vector stay inconclusive.
 
 By default the search runs the level pair (1, 2). A signed permutation
 P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
@@ -246,12 +251,16 @@ class SearchConfig:
     pair: tuple[int, int] | None = None
 
     def __post_init__(self):
+        # bool is an Integral, but True in an integer slot is a mistake
         for name in ("restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not (isinstance(self.max_iters, numbers.Real) and self.max_iters >= 1):  # NaN fails too
+        if isinstance(self.max_iters, bool) or not (
+            isinstance(self.max_iters, numbers.Real) and self.max_iters >= 1  # NaN fails too
+        ):
             raise ValueError(f"max_iters must be a real number >= 1, got {self.max_iters!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -446,7 +455,11 @@ def _theta(q: np.ndarray, levels: tuple[int, int]) -> tuple[float, ...]:
 
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:
-    """Violation f for one level pair and one parameter point. Deterministic."""
+    """Violation f for one level pair and one parameter point. Deterministic.
+
+    Not on the search's path: it is the entry point for re-checking a
+    report's certificate from its pair and parameters alone.
+    """
     return evaluate_pair(rho, pair, build_unitaries(params, rho.shape)).f
 
 
@@ -505,8 +518,11 @@ def maximize_violation(
     best point over all runs, the earliest on ties, is read off as theta
     (:func:`_theta`), and the certificate is evaluated at the unitaries
     :func:`build_unitaries` rebuilds from it, so the reported violation
-    never depends on trusting the optimizer's bookkeeping. ``evaluations``
-    counts value-and-gradient evaluations.
+    never depends on trusting the optimizer's bookkeeping. When that point
+    is the zero start's, unmoved (no iteration accepted), theta is zero
+    and the certificate is evaluated at the identity, the same bits without
+    the read-off or the exponentials. ``evaluations`` counts objective
+    evaluations, each giving f and its gradient.
 
     One eigen-solve of the partial transpose (:func:`ppt_eigen`) decides
     how many starts run, and the report reuses its minimum eigenvalue:
@@ -542,25 +558,19 @@ def maximize_violation(
     cols = [pair[0] - 1, pair[1] - 1]
     evaluate = _column_objective(rho)
     evaluations = 0
-    best = None  # (f, x)
-    last = (None, 0.0, None)  # one-slot cache: (x bytes, f, gradient)
+    best = None  # (f, x), x None while the zero start has not moved
+    grad = None
 
-    # minimize asks for both f and the gradient at each point, which the
-    # cache turns into one evaluation.
-    def value_and_grad(x):
-        nonlocal last
-        key = x.tobytes()
-        if last[0] != key:
-            last = (key, *evaluate(x))
-        return last[1], last[2]
-
+    # minimize asks for the gradient only at the point whose f it has just
+    # asked for, so neg_grad returns the gradient neg_f computed.
     def neg_f(x) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, grad
         evaluations += 1
-        return -value_and_grad(x)[0]
+        f, grad = evaluate(x)
+        return -f
 
     def neg_grad(x) -> np.ndarray:
-        return -value_and_grad(x)[1]
+        return -grad
 
     # Each start is drawn just before its ascent, so memory does not grow
     # with cfg.restarts. Restart r draws from spawn key (0, r) (the 0 is left
@@ -583,8 +593,10 @@ def maximize_violation(
     for x0 in starts():
         res = minimize(neg_f, x0, jac=neg_grad, options={"maxiter": cfg.max_iters, "gtol": GTOL})
         cand = -float(res.fun)
-        if best is None or cand > best[0]:
-            best = (cand, np.array(res.x))
+        if best is None:  # the zero start; with nit 0 it is the identity's columns
+            best = (cand, res.x if res.nit else None)
+        elif cand > best[0]:
+            best = (cand, res.x)
         # No point exceeds the bound, so no skipped start could beat best_f
         # by more than about BOUND_TOL:
         # - at orthonormal columns, x and y (module docstring) are
@@ -600,9 +612,13 @@ def maximize_violation(
         if best[0] > VIOLATION_TOL and best[0] >= bound - BOUND_TOL:
             break
 
-    (qa, _), (qb, _) = _columns(best[1], shape.dim_a)
-    params = UnitaryParams(_theta(qa.T, pair), _theta(qb.T, pair))
-    y = evaluate_pair(rho, pair, build_unitaries(params, shape))
+    if best[1] is None:  # theta = 0 exactly, and exp(0) is the identity
+        params, uv = UnitaryParams.zero(shape), LocalUnitaryPair.identity(shape)
+    else:
+        (qa, _), (qb, _) = _columns(best[1], shape.dim_a)
+        params = UnitaryParams(_theta(qa.T, pair), _theta(qb.T, pair))
+        uv = build_unitaries(params, shape)
+    y = evaluate_pair(rho, pair, uv)
     return _report(rho, pair, params, y, evaluations, ppt_min)
 
 

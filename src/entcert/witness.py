@@ -100,12 +100,18 @@ def valid_pairs(shape: BipartiteShape) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(1, top + 1) for k in range(j + 1, top + 1))
 
 
+def _level(x) -> int:
+    if isinstance(x, bool):  # operator.index would read it as 0 or 1
+        raise TypeError
+    return operator.index(x)
+
+
 def check_pair(pair, shape: BipartiteShape | None = None) -> tuple[int, int]:
     """The level pair (j, k) as Python ints; ValueError unless it holds two
-    integers (numpy integers too) with 1 <= j < k, and, given a shape,
-    k <= min(M, N): the pair addresses levels on both subsystems."""
+    integers (numpy integers too, bools not) with 1 <= j < k, and, given a
+    shape, k <= min(M, N): the pair addresses levels on both subsystems."""
     try:
-        j, k = map(operator.index, pair)
+        j, k = map(_level, pair)
     except (TypeError, ValueError):
         raise ValueError(f"level pair must be two integers, got {pair!r}") from None
     if shape is None:

@@ -26,6 +26,14 @@ def noisy_random_state(m, n, seed):
     return DensityMatrix(sh, mat)
 
 
+def werner_dd(d, beta):
+    """The d x d Werner state (I - beta F) / (d^2 - d beta), F the swap:
+    a state for -1 <= beta <= 1, NPT exactly when beta > 1/d. Test-only;
+    ``states.werner`` is the 2 x 2 family the CLI names."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return DensityMatrix(BipartiteShape(d, d), (np.eye(d * d) - beta * swap) / (d * d - d * beta))
+
+
 @pytest.fixture(scope="session")
 def data_dir():
     return Path(__file__).resolve().parent.parent / "data"

@@ -38,8 +38,8 @@ from entcert.search import (
 )
 from entcert.dmfile import read_density
 from entcert.states import FAMILY_PARAMS
-from entcert.witness import PPT_TOL, evaluate_pair, evaluate_pair_grad, ppt_eigen, ppt_min_eigenvalue
-from conftest import noisy_random_state
+from entcert.witness import PPT_TOL, PptVerdict, evaluate_pair, evaluate_pair_grad, ppt_eigen, ppt_min_eigenvalue
+from conftest import noisy_random_state, random_hermitian, werner_dd
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -96,10 +96,11 @@ def test_search_config_validation():
     for bad in ({"restarts": 0}, {"seed": -1}, {"max_iters": 0}, {"pair": (2, 1)},
                 {"pair": (0, 1)}, {"pair": (1, 1)}, {"pair": (1.7, 3)}, {"pair": (1, 2.9)},
                 {"pair": 3}, {"pair": (1, 2, 3)}, {"restarts": 2.5}, {"seed": 1.5},
-                {"max_iters": float("nan")}, {"max_iters": "400"}, {"max_iters": None}):
+                {"max_iters": float("nan")}, {"max_iters": "400"}, {"max_iters": None},
+                {"restarts": True}, {"seed": False}, {"max_iters": True}, {"pair": (True, 2)}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
-    # numpy integers are integers; a fractional iteration cap stays valid
+    # numpy integers are integers, bools are not; a fractional iteration cap stays valid
     SearchConfig(restarts=np.int64(2), seed=np.int64(1), max_iters=2.5)
     # the pair is stored as check_pair returns it: a hashable tuple of Python ints
     for pair in ([1, 2], (np.int64(1), np.int64(2))):
@@ -202,6 +203,43 @@ def test_maximize_reaches_known_optimum(alpha, optimum):
     for seed in range(4):
         rep = maximize_violation(ec.horodecki33(alpha), SearchConfig(seed=seed))
         assert abs(rep.best_f - optimum) < 1e-9, seed
+
+
+# The d x d Werner state (I - beta F) / N, N = d^2 - d beta, has
+# rho^Gamma = (I - beta d P) / N, P the projector on the maximally entangled
+# vector: NPT for beta > 1/d. A vector of Schmidt rank <= 2 has <P> <= 2/d,
+# so rho^Gamma is negative on one only for beta > 1/2. Over product vectors
+# <P> <= 1/d, so a, b >= (1 - beta) / N and |c| <= beta / N, and the
+# identity's columns reach both: f <= 4(2 beta - 1) / N^2 everywhere.
+WERNER_DD_BETAS = (0.3, 0.45, 0.6, 1.0)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_search_reaches_werner_dd_optimum(d):
+    for beta in WERNER_DD_BETAS:
+        rep = maximize_violation(werner_dd(d, beta))
+        optimum = 4 * (2 * beta - 1) / (d * d - d * beta) ** 2
+        assert abs(rep.best_f - optimum) <= 1e-9 * abs(optimum), beta
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_npt_werner_dd_below_one_half_is_inconclusive(d):
+    # NPT, yet positive on every vector of Schmidt rank <= 2: the inequality
+    # cannot see it, at the search's answer or at random unitaries, and the
+    # PPT oracle can.
+    betas = [beta for beta in WERNER_DD_BETAS if 1 / d < beta <= 0.5]
+    assert betas
+    rng = np.random.default_rng(d)
+    for beta in betas:
+        rho = werner_dd(d, beta)
+        rep = maximize_violation(rho)
+        assert rep.verdict is Verdict.INCONCLUSIVE, beta
+        assert rep.ppt_verdict is PptVerdict.ENTANGLED, beta
+        for _ in range(20):
+            u, v = (unitary_exp(random_hermitian(rng, d)) for _ in range(2))
+            uv = LocalUnitaryPair(u, v)
+            for pair in valid_pairs(rho.shape):
+                assert evaluate_pair(rho, pair, uv).f <= 1e-12, (beta, pair)
 
 
 def _rosenbrock(x):
@@ -336,6 +374,61 @@ def test_minimize_is_deterministic():
     r1, r2 = (minimize(_rosenbrock, x0, jac=_rosenbrock_grad, options=opts) for _ in range(2))
     assert r1.x.tobytes() == r2.x.tobytes()
     assert (r1.fun, r1.nit, r1.status) == (r2.fun, r2.nit, r2.status)
+
+
+def _record_calls(monkeypatch):
+    """Wrap search.minimize, where the benchmark's tracer wraps it, so that
+    every ``fun`` and ``jac`` argument is logged in call order as
+    ("fun" or "jac", x's bytes)."""
+    import entcert.search as search_mod
+
+    log = []
+    real_minimize = search_mod.minimize
+
+    def logged(kind, fn):
+        def call(x):
+            log.append((kind, x.tobytes()))
+            return fn(x)
+
+        return call
+
+    def recording(fun, x0, jac, options):
+        return real_minimize(logged("fun", fun), x0, logged("jac", jac), options)
+
+    monkeypatch.setattr(search_mod, "minimize", recording)
+    return search_mod.minimize, log
+
+
+CALL_ORDER_SEARCHES = {
+    "werner(1)": lambda: ec.werner(1.0),
+    "horodecki33(4.0)": lambda: ec.horodecki33(4.0),
+    "random_density(3x3, seed=0)": lambda: ec.random_density(BipartiteShape(3, 3), seed=0),
+}
+
+
+def test_jac_runs_only_at_the_point_fun_just_ran(monkeypatch):
+    # The search's jac returns the gradient its fun computed with f, so it
+    # is right only if minimize asks for each gradient at the point whose f
+    # it asked for just before. Backtracking asks for f at points it then
+    # rejects; their gradients must never be asked for.
+    wrapped_minimize, log = _record_calls(monkeypatch)
+    x0 = np.array([-1.2, 1.0, -1.2, 1.0])
+    wrapped_minimize(_rosenbrock, x0, _rosenbrock_grad, {"maxiter": 400, "gtol": 1e-7})
+    runs = {"rosenbrock": list(log)}
+    for name, make in CALL_ORDER_SEARCHES.items():
+        log.clear()
+        maximize_violation(make())
+        runs[name] = list(log)
+    for name, run in runs.items():
+        kinds = [kind for kind, _ in run]
+        assert kinds[:2] == ["fun", "jac"], name
+        for before, (kind, x) in zip(run, run[1:]):
+            if kind == "jac":
+                assert before == ("fun", x), name
+    # the rule was tested where backtracking rejected points
+    for name in ("rosenbrock", "horodecki33(4.0)", "random_density(3x3, seed=0)"):
+        kinds = [kind for kind, _ in runs[name]]
+        assert kinds.count("fun") > kinds.count("jac"), name
 
 
 def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
@@ -867,16 +960,19 @@ def test_random_start_evaluation_budget():
     assert total <= RANDOM_START_EVALUATION_CEILING, total
 
 
-EVERY_START = {
-    "horodecki33(4.0)": lambda: ec.horodecki33(4.0),  # in the PPT band
-    "random_density(3x3, seed=0)": lambda: ec.random_density(BipartiteShape(3, 3), seed=0),
+# Each state and the unitaries its search exponentiates.
+EXPONENTIALS = {
+    # every start runs, yet only the certificate's two unitaries are built
+    "horodecki33(4.0)": (lambda: ec.horodecki33(4.0), 2),  # in the PPT band
+    "random_density(3x3, seed=0)": (lambda: ec.random_density(BipartiteShape(3, 3), seed=0), 2),
+    # the zero start wins without moving, so the certificate is the identity
+    "werner(1)": (lambda: ec.werner(1.0), 0),  # at the spectral bound
+    "horodecki33(3.5)": (lambda: ec.horodecki33(3.5), 0),  # proven PPT
 }
 
 
-@pytest.mark.parametrize("name", EVERY_START)
+@pytest.mark.parametrize("name", EXPONENTIALS)
 def test_search_exponentiates_only_for_the_certificate(monkeypatch, name):
-    # Both searches run every start, yet only the certificate's two
-    # unitaries are exponentiated.
     import entcert.search as search_mod
 
     calls = []
@@ -887,8 +983,13 @@ def test_search_exponentiates_only_for_the_certificate(monkeypatch, name):
         return real_exp(h)
 
     monkeypatch.setattr(search_mod, "unitary_exp", counting)
-    maximize_violation(EVERY_START[name]())
-    assert len(calls) == 2
+    make, expected = EXPONENTIALS[name]
+    rho = make()
+    rep = maximize_violation(rho)
+    assert len(calls) == expected
+    if not expected:
+        assert rep.best_params == UnitaryParams.zero(rho.shape)
+        assert rep.y_values == evaluate_pair(rho, (1, 2), LocalUnitaryPair.identity(rho.shape))
 
 
 # sha256 of json.dumps([maximize_violation(rho, SearchConfig(seed=s)).to_dict()

@@ -59,7 +59,7 @@ def test_valid_pairs():
     for pair in ((np.int64(2), np.int64(3)), np.array([2, 3])):
         got = check_pair(pair, sh)
         assert got == (2, 3) and all(type(x) is int for x in got)
-    for bad in ((1.5, 3), (1, 3.0), 3, (1,), (1, 2, 3), "12", None):
+    for bad in ((1.5, 3), (1, 3.0), 3, (1,), (1, 2, 3), "12", None, (True, 2), (np.True_, 2)):
         with pytest.raises(ValueError, match="two integers"):
             check_pair(bad)
     # the two wordings the CLI prints
