@@ -17,10 +17,15 @@ columns; the eigenvector start, read in closed form off the lowest
 eigenvector of the partial transpose rho^Gamma; then seeded random starts,
 Gram-Schmidt of complex Gaussian A and B, so Haar random (Mezzadri,
 Notices AMS 54 (2007) 592). The winning columns are turned back into
-theta, and the certificate is evaluated at the unitaries rebuilt from it;
-a zero start that wins without moving reports theta = 0 at the identity.
-The optimizer, :func:`minimize`, is this module's own numpy L-BFGS with a
-backtracking line search, so a search needs numpy only.
+theta: each side is completed to a unitary by Gram-Schmidt of the
+identity's other columns, and both sides' logs come from one stacked
+eigen-solve. The certificate is evaluated at the unitaries rebuilt from
+theta; a zero start that wins without moving reports theta = 0 at the
+identity. The zero start's variables and the identity pair are built once
+per shape and shared read-only. The optimizer, :func:`minimize`, is this
+module's own numpy L-BFGS with a backtracking line search, so a search
+needs numpy only; the objective computes the gradient only at the points
+:func:`minimize` asks it for, the start and each accepted step.
 
 With a = <x|rho^Gamma|x>, b = <y|rho^Gamma|y> and c = <x|rho^Gamma|y> for
 the orthonormal product vectors x = u_j (x) conj(v_j) and
@@ -73,8 +78,9 @@ from .witness import (
     check_pair,
     classify_ppt,
     evaluate_pair,
-    evaluate_pair_grad,
+    evaluate_pair_columns,
     evaluate_pair_states,
+    pair_columns_grad,
     ppt_eigen,
     ppt_min_eigenvalue,
     valid_pairs,
@@ -224,7 +230,10 @@ class UnitaryParams:
                 raise ValueError("unitary parameters must be finite")
 
     @classmethod
+    @cache
     def zero(cls, shape: BipartiteShape) -> "UnitaryParams":
+        """All-zero coefficients for ``shape``, built once per shape (the
+        object is immutable, so every identity report shares it)."""
         return cls(
             (0.0,) * (shape.dim_a**2 - 1),
             (0.0,) * (shape.dim_b**2 - 1),
@@ -311,7 +320,14 @@ def _generator_stack(n: int) -> np.ndarray:
 
 
 def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitaryPair:
-    """Exponentiate parameter vectors into a local unitary pair."""
+    """Exponentiate parameter vectors into a local unitary pair.
+
+    Each side's generator sum sum_a theta_a g_a is one vector-matrix product
+    over the generators flattened to rows (the same products, bit for bit,
+    as a tensor contraction of theta with the stack), and
+    :func:`unitary_exp`, which checks that the sum is Hermitian, is its
+    only exponential.
+    """
     theta_a, theta_b = np.asarray(params.theta_a), np.asarray(params.theta_b)
     stack_a, stack_b = _generator_stack(shape.dim_a), _generator_stack(shape.dim_b)
     if theta_a.shape != (stack_a.shape[0],) or theta_b.shape != (stack_b.shape[0],):
@@ -319,9 +335,33 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
             f"parameter lengths ({theta_a.size}, {theta_b.size}) do not match "
             f"generator counts ({stack_a.shape[0]}, {stack_b.shape[0]})"
         )
-    u = unitary_exp(np.tensordot(theta_a, stack_a, axes=1))
-    v = unitary_exp(np.tensordot(theta_b, stack_b, axes=1))
+    u, v = (
+        unitary_exp((theta @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]))
+        for theta, stack in ((theta_a, stack_a), (theta_b, stack_b))
+    )
     return LocalUnitaryPair(u, v)
+
+
+@cache
+def _identity(shape: BipartiteShape) -> LocalUnitaryPair:
+    """The identity pair for ``shape``, built once and read-only: the
+    certificate's unitaries whenever theta is zero."""
+    uv = LocalUnitaryPair.identity(shape)
+    for side in uv:
+        side.setflags(write=False)
+    return uv
+
+
+@cache
+def _zero_start(shape: BipartiteShape, pair: tuple[int, int]) -> np.ndarray:
+    """The zero start's search variables, the identity's columns at the
+    pair, built once per shape and pair and read-only (:func:`minimize`
+    ascends from a copy)."""
+    cols = [pair[0] - 1, pair[1] - 1]
+    u, v = _identity(shape)
+    x0 = _pack(u[:, cols], v[:, cols])
+    x0.setflags(write=False)
+    return x0
 
 
 def _gram_schmidt(a: np.ndarray):
@@ -371,37 +411,50 @@ def _columns(x: np.ndarray, m: int):
 
 
 def _column_objective(rho: DensityMatrix):
-    """The search's objective: a function of x that returns the violation
-    at x and its gradient over x.
+    """The search's objective as two functions of x: ``value(x)``, the
+    violation at x, and ``grad(x)``, its gradient over x, at the x that
+    ``value`` last ran at.
 
     :func:`_columns` maps x to two orthonormal columns on each side, which
-    stand for columns j, k of u and of v; :func:`evaluate_pair_grad` gives
-    f there and its column cotangents, and
-    :func:`_gram_schmidt_pullback` carries them back to A and B. A complex
-    entry's cotangent g contributes Re(conj(g) dz), so its real and
-    imaginary parts are the gradient over the entry's real and imaginary
-    parts, in the order x holds them. The gradient is a C-contiguous
-    float64 vector: a strided one would round ``g @ d`` in the optimizer
-    differently. ``evaluate_pair_grad`` is looked up in this module on
-    every call, where callers can wrap it.
+    stand for columns j, k of u and of v; :func:`evaluate_pair_columns`
+    gives f there and keeps the products the gradient reads, so ``grad``
+    runs only the gradient's own tail: :func:`pair_columns_grad` for the
+    column cotangents and :func:`_gram_schmidt_pullback` to carry them back
+    to A and B. A complex entry's cotangent g contributes Re(conj(g) dz), so
+    its real and imaginary parts are the gradient over the entry's real and
+    imaginary parts, in the order x holds them. The gradient is a
+    C-contiguous float64 vector: a strided one would round ``g @ d`` in the
+    optimizer differently. ``evaluate_pair_columns`` and
+    ``pair_columns_grad`` are looked up in this module on every call, where
+    callers can wrap them.
     """
     m = rho.shape.dim_a
+    kept = None  # what value(x) left for grad(x)
 
-    def value_and_grad(x):
+    def value(x) -> float:
+        nonlocal kept
         (qa, ra), (qb, rb) = _columns(x, m)
-        y, gu, gv = evaluate_pair_grad(rho, qa.T, qb.T)
-        ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
-        return y.f, np.concatenate((ga, gb), axis=1).view(float).ravel()
+        y, lw = evaluate_pair_columns(rho, qa.T, qb.T)
+        kept = y, lw, qa, ra, qb, rb
+        return y.f
 
-    return value_and_grad
+    def grad(x) -> np.ndarray:
+        y, lw, qa, ra, qb, rb = kept
+        gu, gv = pair_columns_grad(y, lw, qa.T, qb.T)
+        ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
+        return np.concatenate((ga, gb), axis=1).view(float).ravel()
+
+    return value, grad
 
 
 def _pack(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The search variables x for the columns u2 (M x 2) and v2 (N x 2):
     the real and imaginary parts of each entry in turn, first column of u2
     then of v2, then their second columns."""
-    z = np.concatenate((u2, v2)).T
-    return np.stack((z.real, z.imag), axis=-1).ravel()
+    # the columns as rows, A's entries then B's, C-ordered: their real view
+    # is exactly that sequence
+    z = np.ascontiguousarray(np.concatenate((u2, v2)).T, dtype=complex)
+    return z.view(float).ravel()
 
 
 def _eigenvector_start(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
@@ -420,38 +473,94 @@ def _eigenvector_start(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
     m, n = rho.shape.dim_a, rho.shape.dim_b
     e, _, fh = np.linalg.svd(z.reshape(m, n), full_matrices=False)
     u2, v2 = e[:, :2], fh[:2].conj().T
-    c = np.kron(u2[:, 0], v2[:, 1]).conj() @ rho.mat @ np.kron(u2[:, 1], v2[:, 0])
+    # u_1 (x) v_2 and u_2 (x) v_1, flattened outer products: np.kron's values
+    # without its overhead
+    left = (u2[:, 0, None] * v2[:, 1]).ravel()
+    right = (u2[:, 1, None] * v2[:, 0]).ravel()
+    c = left.conj() @ rho.mat @ right
     if c:
         u2[:, 0] *= c / abs(c)
     return _pack(u2, v2)
 
 
-def _theta(q: np.ndarray, levels: tuple[int, int]) -> tuple[float, ...]:
-    """Generator coefficients theta whose exp(i sum_a theta_a g_a) has q's
-    two orthonormal columns at the levels (j, k), up to one global phase.
+def _completed(q: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
+    """A unitary with q's two orthonormal columns at the levels (j, k).
 
-    QR completes q to a unitary u with q's columns at j, k. Its log,
-    h = -i log u, comes from ``eig`` with the eigenvectors re-orthonormalised
-    (u is normal, so only vectors of one repeated eigenvalue mix). Then
-    theta_a = Tr(g_a h) / 2 reads h's traceless part, whose exponential is
-    u times the global phase exp(-i Tr(h) / n); f does not see that phase,
-    so no branch of the log needs choosing.
+    The other columns are the identity's, each projected off what is
+    already in place (pivoted Gram-Schmidt): p = I - q q^dag projects onto
+    q's complement, so its column i is e_i's residual and p[i, i] that
+    residual's squared norm. Each free column, in level order, takes the
+    largest residual, normalised, and p then drops it. p's trace is the
+    number of free columns left, so the largest p[i, i] is at least 1/n:
+    no column is ever divided by a vanishing norm, also where some e_i lies
+    in span(q). The new column's entry i is sqrt(p[i, i]), real and
+    positive, so the identity's columns complete to the identity (ties go
+    to the lowest level).
     """
     n = len(q)
     cols = [levels[0] - 1, levels[1] - 1]
-    rest = [i for i in range(n) if i not in cols]
-    # Q of (q, the identity's other columns) is unitary whatever their rank,
-    # so its last n - 2 columns complete q. Each is turned so its largest
-    # entry is real and positive: the identity's columns then complete to
-    # the identity, and read off as theta = 0, at every pair.
-    fill = np.linalg.qr(np.hstack((q, np.eye(n)[:, rest])))[0][:, 2:]
-    peaks = fill[np.abs(fill).argmax(axis=0), range(n - 2)]
     u = np.empty((n, n), dtype=complex)
-    u[:, cols], u[:, rest] = q, fill * (peaks.conj() / abs(peaks))
-    vals, vecs = np.linalg.eig(u)
+    u[:, cols] = q
+    p = np.eye(n) - q @ q.conj().T
+    for slot in (i for i in range(n) if i not in cols):
+        i = p.diagonal().real.argmax()
+        u[:, slot] = col = p[:, i] / math.sqrt(p[i, i].real)
+        p -= col[:, None] * col.conj()
+    return u
+
+
+@cache
+def _theta_reader(m: int, n: int) -> np.ndarray:
+    """The matrix that reads theta off the stack h = (h_a, h_b), each
+    padded to k = max(M, N) and flattened: Re of its product with h is
+    (Tr(g_a h_a) / 2 over SU(M)'s generators, then Tr(g_b h_b) / 2 over
+    SU(N)'s). Built once per shape, read-only."""
+    k = max(m, n)
+    stack_a, stack_b = _generator_stack(m), _generator_stack(n)
+    reader = np.zeros((len(stack_a) + len(stack_b), 2, k, k), dtype=complex)
+    # Tr(g h) = sum_ij g[i, j] h[j, i]: each row holds its generator transposed
+    reader[: len(stack_a), 0, :m, :m] = stack_a.transpose(0, 2, 1) / 2
+    reader[len(stack_a) :, 1, :n, :n] = stack_b.transpose(0, 2, 1) / 2
+    reader = reader.reshape(len(reader), -1)
+    reader.setflags(write=False)
+    return reader
+
+
+def _theta(u2: np.ndarray, v2: np.ndarray, levels: tuple[int, int]) -> UnitaryParams:
+    """Generator coefficients whose exponentials exp(i sum_a theta_a g_a)
+    have u2's and v2's orthonormal columns at the levels (j, k), each up to
+    one global phase.
+
+    :func:`_completed` completes each side to a unitary, u and v, and both
+    are read off together, as one stack of two k x k unitaries,
+    k = max(M, N), the smaller side padded with the identity:
+    - h = -i log w = V diag(angle(lambda)) V^dag for each slice w, from
+      ``eig``'s eigenvalues lambda and its eigenvector columns V
+      re-orthonormalised by QR (a unitary is normal, so only vectors of
+      one repeated eigenvalue mix). With V unitary, h is Hermitian even
+      where a repeated eigenvalue -1 gets the angles pi and -pi on
+      different vectors. numpy solves each slice of a stack on its own,
+      so one ``eig`` and one ``qr`` serve both sides, and no vector mixes
+      the two sides; the padding's eigenvalue 1 has angle 0, so whatever
+      of it mixes into u's own eigenvalue 1 adds nothing.
+    - theta_a = Tr(g_a h_a) / 2 reads the traceless part of h_a, u's block
+      of the first slice; its exponential is u times the global phase
+      exp(-i Tr(h_a) / M), and likewise on B. f does not see those phases,
+      so no branch of the log needs choosing.
+    The identity's columns complete to the identity, whose eigenvalues
+    are 1 exactly, so they read off as theta = 0 on their side, at every
+    pair.
+    """
+    m, n = len(u2), len(v2)
+    k = max(m, n)
+    w = np.zeros((2, k, k), dtype=complex)
+    w[:] = np.eye(k)
+    w[0, :m, :m], w[1, :n, :n] = _completed(u2, levels), _completed(v2, levels)
+    vals, vecs = np.linalg.eig(w)
     vecs = np.linalg.qr(vecs)[0]
-    h = (vecs * np.angle(vals)) @ vecs.conj().T
-    return tuple((np.einsum("aij,ji->a", _generator_stack(n), h).real / 2).tolist())
+    h = (vecs * np.angle(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    theta = (_theta_reader(m, n) @ h.ravel()).real.tolist()
+    return UnitaryParams(tuple(theta[: m * m - 1]), tuple(theta[m * m - 1 :]))
 
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:
@@ -492,7 +601,7 @@ def evaluate_at_identity(
     """Report for identity unitaries only: the given pair, or the best of
     every valid pair when pair is None (at the identity the pairs differ)."""
     pairs = valid_pairs(rho.shape) if pair is None else (check_pair(pair, rho.shape),)
-    uv = LocalUnitaryPair.identity(rho.shape)
+    uv = _identity(rho.shape)
     # max() keeps the earliest of equal values, as the search merge does.
     best_pair, y = max(((p, evaluate_pair(rho, p, uv)) for p in pairs), key=lambda py: py[1].f)
     # The zero parameters build exactly these identities, so no exp is needed.
@@ -522,7 +631,8 @@ def maximize_violation(
     is the zero start's, unmoved (no iteration accepted), theta is zero
     and the certificate is evaluated at the identity, the same bits without
     the read-off or the exponentials. ``evaluations`` counts objective
-    evaluations, each giving f and its gradient.
+    evaluations of f; the gradient's tail runs only where :func:`minimize`
+    asks for it, once per start and once per accepted step.
 
     One eigen-solve of the partial transpose (:func:`ppt_eigen`) decides
     how many starts run, and the report reuses its minimum eigenvalue:
@@ -555,22 +665,20 @@ def maximize_violation(
     # never above VIOLATION_TOL.
     proven_ppt = ppt_min > PPT_TOL
     bound = 4 * max(0.0, -ppt_min) * float(vals[-1])
-    cols = [pair[0] - 1, pair[1] - 1]
-    evaluate = _column_objective(rho)
+    value, grad = _column_objective(rho)
     evaluations = 0
     best = None  # (f, x), x None while the zero start has not moved
-    grad = None
 
     # minimize asks for the gradient only at the point whose f it has just
-    # asked for, so neg_grad returns the gradient neg_f computed.
+    # asked for, so neg_grad reads what neg_f kept there, and only the
+    # points minimize accepts pay for a gradient.
     def neg_f(x) -> float:
-        nonlocal evaluations, grad
+        nonlocal evaluations
         evaluations += 1
-        f, grad = evaluate(x)
-        return -f
+        return -value(x)
 
     def neg_grad(x) -> np.ndarray:
-        return -grad
+        return -grad(x)
 
     # Each start is drawn just before its ascent, so memory does not grow
     # with cfg.restarts. Restart r draws from spawn key (0, r) (the 0 is left
@@ -579,8 +687,7 @@ def maximize_violation(
     # columns bit for bit, stays first, so a state whose identity columns
     # already reach the bound keeps theta = 0 (ties go to the earliest start).
     def starts():
-        u, v = LocalUnitaryPair.identity(shape)
-        yield _pack(u[:, cols], v[:, cols])
+        yield _zero_start(shape, pair)
         if proven_ppt:
             return
         yield _eigenvector_start(rho, vecs[:, 0])
@@ -590,8 +697,9 @@ def maximize_violation(
             (qa, _), (qb, _) = _columns(x, shape.dim_a)
             yield _pack(qa.T, qb.T)
 
+    options = {"maxiter": cfg.max_iters, "gtol": GTOL}
     for x0 in starts():
-        res = minimize(neg_f, x0, jac=neg_grad, options={"maxiter": cfg.max_iters, "gtol": GTOL})
+        res = minimize(neg_f, x0, jac=neg_grad, options=options)
         cand = -float(res.fun)
         if best is None:  # the zero start; with nit 0 it is the identity's columns
             best = (cand, res.x if res.nit else None)
@@ -613,10 +721,10 @@ def maximize_violation(
             break
 
     if best[1] is None:  # theta = 0 exactly, and exp(0) is the identity
-        params, uv = UnitaryParams.zero(shape), LocalUnitaryPair.identity(shape)
+        params, uv = UnitaryParams.zero(shape), _identity(shape)
     else:
         (qa, _), (qb, _) = _columns(best[1], shape.dim_a)
-        params = UnitaryParams(_theta(qa.T, pair), _theta(qb.T, pair))
+        params = _theta(qa.T, qb.T, pair)
         uv = build_unitaries(params, shape)
     y = evaluate_pair(rho, pair, uv)
     return _report(rho, pair, params, y, evaluations, ppt_min)

@@ -19,8 +19,9 @@ forms w^dag rho w and reads off the y values; it is the only part that
 depends on the state. A scan over a family runs the column step once per
 scan and the contraction once per state (:func:`evaluate_pair_states`).
 The search optimises over the two columns themselves, so its
-:func:`evaluate_pair_grad` takes them as given, runs both steps and adds
-the gradient of f over the columns.
+:func:`evaluate_pair_columns` takes them as given and runs both steps, and
+:func:`pair_columns_grad` adds the gradient of f over the columns where the
+optimizer asks for it; :func:`evaluate_pair_grad` runs the two in turn.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
 
     The elementary triple reads only the columns |jj>, |jk>, |kj>, |kk> of
     u (x) v. Every search path evaluates through this kernel: the search
-    itself through :func:`evaluate_pair_grad`, which shares it, and
+    itself through :func:`evaluate_pair_columns`, which shares it, and
     ``scan_1d`` through :func:`evaluate_pair_states`.
 
     u and v may carry leading stack axes, which broadcast against each
@@ -320,40 +321,60 @@ def evaluate_pair_states(
     return each()
 
 
-def evaluate_pair_grad(
+def evaluate_pair_columns(
     rho: DensityMatrix, u2: np.ndarray, v2: np.ndarray
-) -> tuple[YValues, np.ndarray, np.ndarray]:
-    """The y values of one pair's columns and the gradient of f over them.
+) -> tuple[YValues, np.ndarray]:
+    """The y values of one pair's columns, and lw = w^dag rho, which
+    :func:`pair_columns_grad` reads.
 
     u2 (M x 2) and v2 (N x 2) stand for columns j, k of u and of v: the
-    result is :func:`evaluate_pair`'s for any u, v with those columns at
+    y values are :func:`evaluate_pair`'s for any u, v with those columns at
     the pair's levels. f is a polynomial in the columns and is evaluated
-    as given; orthonormality is the caller's. Returns (y, gu, gv): gu
-    (M x 2) and gv (N x 2) are the cotangents of u2 and v2, so a change
-    du2, dv2 changes f by Re Tr(gu^dag du2) + Re Tr(gv^dag dv2).
-
-    With b = w^dag rho w, df = 2 Re Tr(D w^dag rho dw) where D is real
-    symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
-    D[3,3] = -2 (y2 + y3). The columns are one pair, not a stack; anything
-    else is rejected before any product is formed.
+    as given; orthonormality is the caller's. The columns are one pair, not
+    a stack; anything else is rejected before any product is formed.
     """
     m, n = rho.shape.dim_a, rho.shape.dim_b
     if u2.shape != (m, 2) or v2.shape != (n, 2):
         raise ValueError(
-            f"evaluate_pair_grad takes one {m}x2 and one {n}x2 pair of columns, not a stack; "
+            f"evaluate_pair_columns takes one {m}x2 and one {n}x2 pair of columns, not a stack; "
             f"got {u2.shape} and {v2.shape}"
         )
-    cols = _pair_columns(u2, v2)
-    y, lw = _contract(rho.mat, *cols)
-    # Row i of D has one nonzero entry, d[i], in column (0, 2, 1, 3)[i], so
-    # D @ lw is a scaling of lw's rows (0, 2, 1, 3), with the same bits: D's
-    # zero entries would only add exact zeros.
-    d = np.array((2 * (y.y2 - y.y3), 2 * y.y1, 2 * y.y1, -2 * (y.y2 + y.y3)))
+    return _contract(rho.mat, *_pair_columns(u2, v2))
+
+
+def pair_columns_grad(
+    y: YValues, lw: np.ndarray, u2: np.ndarray, v2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of f over the columns u2, v2, given the y values and lw
+    that :func:`evaluate_pair_columns` returned for them: (gu, gv), the
+    cotangents of u2 (M x 2) and v2 (N x 2), so a change du2, dv2 changes f
+    by Re Tr(gu^dag du2) + Re Tr(gv^dag dv2).
+
+    With b = w^dag rho w, df = 2 Re Tr(D w^dag rho dw) where D is real
+    symmetric with D[1,2] = D[2,1] = 2 y1, D[0,0] = 2 (y2 - y3) and
+    D[3,3] = -2 (y2 + y3).
+    """
+    m, n = len(u2), len(v2)
+    # Row i of D has one nonzero entry, in column (0, 2, 1, 3)[i], so D @ lw
+    # is a scaling of lw's rows (0, 2, 1, 3), with the same bits: D's zero
+    # entries would only add exact zeros. The cotangent of w is
+    # 2 (D lw)^dag, so d holds those entries times 2 (exact: a power of two).
+    d = np.array((4 * (y.y2 - y.y3), 4 * y.y1, 4 * y.y1, -4 * (y.y2 + y.y3)))
     # Cotangent of w, split over its factors w[(a, b), (s, t)] = u2[a, s] v2[b, t].
-    gw = (2 * (d[:, None] * lw[[0, 2, 1, 3]])).conj().T.reshape(m, n, 2, 2)
+    gw = (d[:, None] * lw[[0, 2, 1, 3]]).conj().T.reshape(m, n, 2, 2)
     gu = np.einsum("abst,bt->as", gw, v2.conj())
     gv = np.einsum("abst,as->bt", gw, u2.conj())
-    return y, gu, gv
+    return gu, gv
+
+
+def evaluate_pair_grad(
+    rho: DensityMatrix, u2: np.ndarray, v2: np.ndarray
+) -> tuple[YValues, np.ndarray, np.ndarray]:
+    """The y values of one pair's columns and the gradient of f over them:
+    (y, gu, gv), :func:`evaluate_pair_columns` followed by
+    :func:`pair_columns_grad`."""
+    y, lw = evaluate_pair_columns(rho, u2, v2)
+    return (y, *pair_columns_grad(y, lw, u2, v2))
 
 
 def check_inequality(y: YValues) -> Verdict:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -180,16 +181,16 @@ def test_maximize_separable_stays_bounded():
 def test_reported_best_is_stream_maximum(monkeypatch):
     """Merged result equals the best objective value ever evaluated."""
     import entcert.search as search_mod
-    from entcert.witness import evaluate_pair_grad as real_kernel
+    from entcert.witness import evaluate_pair_columns as real_kernel
 
     seen = []
 
     def recording(rho, u2, v2):
-        y, gu, gv = real_kernel(rho, u2, v2)
+        y, lw = real_kernel(rho, u2, v2)
         seen.append(y.f)
-        return y, gu, gv
+        return y, lw
 
-    monkeypatch.setattr(search_mod, "evaluate_pair_grad", recording)
+    monkeypatch.setattr(search_mod, "evaluate_pair_columns", recording)
     rep = search_mod.maximize_violation(ec.werner(0.8), SearchConfig(restarts=2, seed=5))
     assert seen
     # The certificate is re-evaluated at the unitaries rebuilt from the
@@ -379,7 +380,8 @@ def test_minimize_is_deterministic():
 def _record_calls(monkeypatch):
     """Wrap search.minimize, where the benchmark's tracer wraps it, so that
     every ``fun`` and ``jac`` argument is logged in call order as
-    ("fun" or "jac", x's bytes)."""
+    ("fun" or "jac", x's bytes), and each run's iteration count as
+    ("nit", count) once it returns."""
     import entcert.search as search_mod
 
     log = []
@@ -393,7 +395,9 @@ def _record_calls(monkeypatch):
         return call
 
     def recording(fun, x0, jac, options):
-        return real_minimize(logged("fun", fun), x0, logged("jac", jac), options)
+        res = real_minimize(logged("fun", fun), x0, logged("jac", jac), options)
+        log.append(("nit", res.nit))
+        return res
 
     monkeypatch.setattr(search_mod, "minimize", recording)
     return search_mod.minimize, log
@@ -407,19 +411,34 @@ CALL_ORDER_SEARCHES = {
 
 
 def test_jac_runs_only_at_the_point_fun_just_ran(monkeypatch):
-    # The search's jac returns the gradient its fun computed with f, so it
-    # is right only if minimize asks for each gradient at the point whose f
-    # it asked for just before. Backtracking asks for f at points it then
-    # rejects; their gradients must never be asked for.
+    # The search's jac reads what its fun kept at the same point, so it is
+    # right only if minimize asks for each gradient at the point whose f it
+    # asked for just before. Backtracking asks for f at points it then
+    # rejects; their gradients must never be asked for, nor computed: the
+    # gradient's tail runs once per start and once per accepted step.
+    import entcert.search as search_mod
+
     wrapped_minimize, log = _record_calls(monkeypatch)
+    tails = []
+    real_tail = search_mod.pair_columns_grad
+
+    def counting_tail(*args):
+        tails.append(1)
+        return real_tail(*args)
+
+    monkeypatch.setattr(search_mod, "pair_columns_grad", counting_tail)
     x0 = np.array([-1.2, 1.0, -1.2, 1.0])
     wrapped_minimize(_rosenbrock, x0, _rosenbrock_grad, {"maxiter": 400, "gtol": 1e-7})
     runs = {"rosenbrock": list(log)}
     for name, make in CALL_ORDER_SEARCHES.items():
         log.clear()
+        tails.clear()
         maximize_violation(make())
         runs[name] = list(log)
+        nits = [count for kind, count in log if kind == "nit"]
+        assert len(tails) == len(nits) + sum(nits), name
     for name, run in runs.items():
+        run = [entry for entry in run if entry[0] != "nit"]
         kinds = [kind for kind, _ in run]
         assert kinds[:2] == ["fun", "jac"], name
         for before, (kind, x) in zip(run, run[1:]):
@@ -480,6 +499,36 @@ def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_cached_starts_are_read_only_and_searches_repeat():
+    # The zero start's x0 and the identity pair are built once per shape
+    # (and pair) and shared by every search, so nothing may write into
+    # them: a search that did would change the next one's start or
+    # certificate. Two searches in a row on one state report the same.
+    import entcert.search as search_mod
+
+    for m, n in ((2, 2), (2, 3), (3, 3), (4, 5)):
+        sh = BipartiteShape(m, n)
+        for pair in valid_pairs(sh):
+            x0 = search_mod._zero_start(sh, pair)
+            assert x0 is search_mod._zero_start(sh, pair)
+            eye, cols = LocalUnitaryPair.identity(sh), [pair[0] - 1, pair[1] - 1]
+            assert x0.tobytes() == _pack(eye.u[:, cols], eye.v[:, cols]).tobytes()
+            with pytest.raises(ValueError):
+                x0[0] = 2.0
+        uv = search_mod._identity(sh)
+        assert uv is search_mod._identity(sh)
+        for side, k in zip(uv, (m, n)):
+            assert side.tobytes() == np.eye(k, dtype=complex).tobytes()
+            with pytest.raises(ValueError):
+                side[0, 0] = 2.0
+    states = [ec.werner(1.0), ec.iso23(1.0), ec.horodecki33(5.0), ec.horodecki33(3.5), read_density(DATA / "iso23_0.26.dm")]
+    for rho in states:
+        first, second = maximize_violation(rho), maximize_violation(rho)
+        assert first == second
+        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+        assert evaluate_at_identity(rho) == evaluate_at_identity(rho)
 
 
 def _signed_permutation(n, j, k):
@@ -651,7 +700,7 @@ def test_search_gradient_matches_central_differences(m, n):
     rng = np.random.default_rng(10 * m + n)
     eps = 1e-6
     rho = ec.random_density(sh, seed=10 * m + n)
-    value_and_grad = _column_objective(rho)
+    value, grad = _column_objective(rho)
     for pair in valid_pairs(sh):
         cols = [pair[0] - 1, pair[1] - 1]
         eye = LocalUnitaryPair.identity(sh)
@@ -662,17 +711,18 @@ def test_search_gradient_matches_central_differences(m, n):
         x_eye = _pack(eye.u[:, cols], eye.v[:, cols])
         x_rand = _pack(uv.u[:, cols], uv.v[:, cols])
         # identity columns pass Gram-Schmidt unchanged
-        assert value_and_grad(x_eye)[0] == evaluate_pair(rho, pair, eye).f
-        assert abs(value_and_grad(x_rand)[0] - evaluate_pair(rho, pair, uv).f) <= 1e-14
+        assert value(x_eye) == evaluate_pair(rho, pair, eye).f
+        assert abs(value(x_rand) - evaluate_pair(rho, pair, uv).f) <= 1e-14
         for x in (x_eye, x_rand, rng.normal(size=4 * (m + n))):
-            f, grad = value_and_grad(x)
-            assert grad.dtype == np.float64 and grad.flags.c_contiguous and grad.shape == x.shape
-            fd = np.empty_like(grad)
+            value(x)
+            g = grad(x)
+            assert g.dtype == np.float64 and g.flags.c_contiguous and g.shape == x.shape
+            fd = np.empty_like(g)
             for i in range(x.size):
                 step = np.zeros(x.size)
                 step[i] = eps
-                fd[i] = (value_and_grad(x + step)[0] - value_and_grad(x - step)[0]) / (2 * eps)
-            assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad), (pair, x)
+                fd[i] = (value(x + step) - value(x - step)) / (2 * eps)
+            assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g), (pair, x)
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 4), (4, 4)])
@@ -696,7 +746,7 @@ def test_eigenvector_start_holds_the_top_schmidt_terms(m, n):
             assert abs(abs(overlap) - schmidt[s]) <= 1e-14, (seed, s)
         c = np.kron(u2[:, 0], v2[:, 1]).conj() @ rho.mat @ np.kron(u2[:, 1], v2[:, 0])
         assert c.real > 0 and abs(c.imag) <= 1e-16, (seed, c)
-        f = _column_objective(rho)(x0)[0]
+        f = _column_objective(rho)[0](x0)
         for phase in np.exp(1j * np.linspace(0.5, 6.0, 6)):
             turned = u2.copy()
             turned[:, 0] *= phase
@@ -730,36 +780,56 @@ def test_gram_schmidt_columns_are_orthonormal():
 
 def _column_cases(n, pair, rng):
     """Orthonormal column pairs for levels ``pair`` on dimension n: the
-    identity's, diagonal phases (equal ones too), columns of a unitary
-    whose spectrum is degenerate, and Gram-Schmidt of a random matrix."""
+    identity's, diagonal phases (equal ones too), columns of unitaries
+    whose spectra are degenerate, Gram-Schmidt of a random matrix, the
+    pair's own columns swapped, and, for n >= 3, identity columns of a
+    level outside the pair, so that some of the identity's other columns
+    lie in span(q) (at pair (1, 2): (e_1, -e_3) and (e_3, e_1))."""
     cols = [pair[0] - 1, pair[1] - 1]
     eye = np.eye(n, dtype=complex)
     # exp(i pi/2 P) for a random rank-2 projector P: eigenvalues i, i, 1, ...
     p = _gram_schmidt(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))[0].T
     degenerate = eye + (1j - 1) * (p @ p.conj().T)
-    return [
+    # exp(i pi P) = I - 2P: eigenvalues -1, -1, 1, ..., which rounding can
+    # put on either side of the log's branch cut
+    reflection = eye - 2 * (p @ p.conj().T)
+    cases = [
         eye[:, cols],
         eye[:, cols] * np.exp(1j * np.array([0.7, -0.4])),
         eye[:, cols] * np.exp(0.5j),
         -eye[:, cols],
         degenerate[:, cols],
+        reflection[:, cols],
         _gram_schmidt(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))[0].T,
+        eye[:, cols[::-1]],
     ]
+    other = [i for i in range(n) if i not in cols]
+    if other:
+        j, l = cols[0], other[0]
+        cases += [np.stack((eye[:, j], -eye[:, l]), axis=1), eye[:, [l, j]]]
+    return cases
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
 def test_theta_read_off_round_trip(m, n):
     # The reported theta rebuilds, through build_unitaries, the best columns
-    # up to one global phase per side, so f moves only by rounding.
+    # up to one global phase per side, so f moves only by rounding. Both
+    # sides are read off together, so every case of A meets every case of
+    # B: a read-off that let the sides' eigenvectors mix would show where
+    # both have a repeated eigenvalue.
     sh = BipartiteShape(m, n)
     rng = np.random.default_rng(100 + 10 * m + n)
     rho = ec.random_density(sh, seed=10 * m + n)
     for pair in valid_pairs(sh):
         cols = [pair[0] - 1, pair[1] - 1]
         cases_a, cases_b = _column_cases(m, pair, rng), _column_cases(n, pair, rng)
-        for u2, v2 in zip(cases_a, cases_b[::-1]):
-            params = UnitaryParams(_theta(u2, pair), _theta(v2, pair))
+        for u2, v2 in itertools.product(cases_a, cases_b):
+            params = _theta(u2, v2, pair)
             assert all(type(t) is float for t in params.theta_a + params.theta_b)
+            # the identity's columns (each side's first case) read off as
+            # theta = 0 on their side, whatever the other side holds
+            assert u2 is not cases_a[0] or not any(params.theta_a), pair
+            assert v2 is not cases_b[0] or not any(params.theta_b), pair
             uv = build_unitaries(params, sh)
             for q, w in ((u2, uv.u[:, cols]), (v2, uv.v[:, cols])):
                 phase = np.vdot(q, w) / 2
@@ -767,11 +837,6 @@ def test_theta_read_off_round_trip(m, n):
                 assert np.abs(w - phase * q).max() <= 1e-12, (pair, q)
             f = evaluate_pair_grad(rho, u2, v2)[0].f
             assert abs(evaluate_pair(rho, pair, uv).f - f) <= 1e-12, pair
-    # the identity's columns read off as theta = 0, at every pair
-    for pair in valid_pairs(sh):
-        cols = [pair[0] - 1, pair[1] - 1]
-        for k in (m, n):
-            assert not any(_theta(np.eye(k, dtype=complex)[:, cols], pair)), (k, pair)
 
 
 def test_single_product_term_never_violates():
@@ -1025,13 +1090,16 @@ def test_search_reports_pinned_on_shipped_states():
 
 # The same for random_density(BipartiteShape(m, n), seed=0) and search seeds
 # 0 and 1, on shapes no shipped file has: either side larger, and a square
-# shape beyond 3x3. Recorded when the random starts became Gram-Schmidt'd
-# Gaussian columns.
+# shape beyond 3x3. Recorded when the completion in the theta read-off
+# became pivoted Gram-Schmidt, which completes 4- and 5-level columns to
+# other unitaries than QR did, so their theta differ; the searches, their
+# evaluations, verdicts and best_f (to 2e-16) are those recorded when the
+# random starts became Gram-Schmidt'd Gaussian columns.
 RANDOM_REPORT_DIGESTS = {
-    "2x5": "7839e21768fee53457e472f1cf184ff438be059a07747be6004352980e59ccf5",
-    "3x4": "2bf1092079bcafb59e42bb7a1110107afe549d8fde673e803697b00650532d9f",
-    "4x3": "71c507dbf830db2c113a93b4ab0c13df01a4bd0d468bf387536a85e4a52d78cd",
-    "4x4": "d94e0f72b1cd6377f5f9fbf73e1517adbf89b2665efd4056479e2802a9118fee",
+    "2x5": "89ef0ebf9d0394775aa5cb0f405835d5d95749aa068b12c8d78145d7a9505275",
+    "3x4": "ed3b4ffa95d736b806a046314cad57f7671be45b8b41646e831579583a497653",
+    "4x3": "d349db7b749de3a60ce1b9dcc5e1f8c6e55d63e32b75bdddb82d313ffde7e616",
+    "4x4": "a79e2b598c334a26edad0791524e97eeb2eb5984f95e02c3e67075d7d761bd95",
 }
 
 
