@@ -25,7 +25,10 @@ identity. The zero start's variables and the identity pair are built once
 per shape and shared read-only. The optimizer, :func:`minimize`, is this
 module's own numpy L-BFGS with a backtracking line search, so a search
 needs numpy only; the objective computes the gradient only at the points
-:func:`minimize` asks it for, the start and each accepted step.
+:func:`minimize` asks it for, the start and each accepted step, but not at
+a point that reaches the spectral bound (below). The winning columns are
+the ones the objective computed at the point :func:`minimize` returned, so
+no Gram-Schmidt runs twice.
 
 With a = <x|rho^Gamma|x>, b = <y|rho^Gamma|y> and c = <x|rho^Gamma|y> for
 the orthonormal product vectors x = u_j (x) conj(v_j) and
@@ -37,8 +40,10 @@ how far the search need go:
   and no start can certify, so the zero start runs alone;
 - otherwise f <= B = 4 max(0, -lambda_min) lambda_max everywhere, by
   interlacing, and the search stops after the first start that certifies
-  and reaches B. The eigenvector start reaches B on the named states, so
-  their searches end after two starts at most.
+  and reaches B. That start ends at the first point that does, its start
+  or an accepted step, with no gradient there. The eigenvector start
+  reaches B on the named states, so their searches end after two starts
+  and two evaluations at most.
 
 What it detects: f > 0 is reachable exactly when rho^Gamma is negative on
 some vector of Schmidt rank <= 2 (1-copy distillability); NPT states with
@@ -100,11 +105,13 @@ BOUND_TOL = 1e-12  # a start within this of the spectral bound ends the search
 
 
 class MinimizeStatus(IntEnum):
-    """Why :func:`minimize` stopped."""
+    """Why :func:`minimize` stopped. Every status but REACHED_F_STOP
+    returns the point where the gradient last ran."""
 
     CONVERGED = 0  # max|gradient| <= gtol, or the drop in f fell below F_RTOL
     ITERATION_CAP = 1  # maxiter iterations ran
     LINE_SEARCH_FAILED = 2  # no step with sufficient decrease, even along -gradient
+    REACHED_F_STOP = 3  # f <= options["f_stop"] at x0 or an accepted point; no gradient there
 
 
 class MinimizeResult(NamedTuple):
@@ -148,18 +155,19 @@ def _lbfgs_direction(g: np.ndarray, steps: np.ndarray, changes: np.ndarray) -> n
     return r + np.dot(c, steps)
 
 
-def _backtrack(fun, jac, x, f0: float, d, slope0: float, step: float):
-    """(x + t d, f, gradient) for the first t of step, step/2, step/4, ...
-    with sufficient decrease, f <= f0 + ARMIJO_C1 t slope0, or None once
+def _backtrack(fun, x, f0: float, d, slope0: float, step: float):
+    """(x + t d, f) for the first t of step, step/2, step/4, ... with
+    sufficient decrease, f <= f0 + ARMIJO_C1 t slope0, or None once
     MAX_LINE_EVALS points failed (Nocedal and Wright, *Numerical
     Optimization*, Algorithm 3.1). A NaN f fails the test, so a non-finite
-    f counts as too far. ``jac`` runs only at the accepted point.
+    f counts as too far. No gradient runs here: the caller asks for one at
+    the accepted point, if it needs one.
     """
     for _ in range(MAX_LINE_EVALS):
         x_new = x + step * d
         f = float(fun(x_new))
         if f <= f0 + ARMIJO_C1 * step * slope0:
-            return x_new, f, jac(x_new)
+            return x_new, f
         step *= 0.5
     return None
 
@@ -169,22 +177,30 @@ def minimize(fun, x0, jac, options) -> MinimizeResult:
 
     ``fun(x)`` returns f as a float and ``jac(x)`` its gradient. Every trial
     point costs one call of ``fun``; ``jac`` runs at ``x0`` and at each
-    accepted point, after ``fun`` there. ``options`` holds
-    ``"maxiter"``, the iteration cap, and ``"gtol"``: the run has converged
-    once max|gradient| <= gtol, or once an iteration lowers f by at most
-    F_RTOL * max(|f|, 1). The first step along -gradient has length 1, later
-    ones try the full quasi-Newton step first. A failed line search drops
-    the history and retries along -gradient; a second failure ends the run.
-    The returned point is the last one accepted; each accepted point
-    lowers f.
+    accepted point, after ``fun`` there, except at a point that reaches
+    the stop value. ``options`` holds ``"maxiter"``, the iteration cap, and
+    ``"gtol"``: the run has converged once max|gradient| <= gtol, or once
+    an iteration lowers f by at most F_RTOL * max(|f|, 1). It may hold
+    ``"f_stop"``, a value of f low enough to end the run (default -inf):
+    once f <= f_stop at x0 or at an accepted point, the run returns there
+    at once, with status REACHED_F_STOP and no gradient asked for there.
+    The first step along -gradient has length 1, later ones try the full
+    quasi-Newton step first. A failed line search drops the history and
+    retries along -gradient; a second failure ends the run. The returned
+    point is the last one accepted (``x0`` if none was); each accepted
+    point lowers f.
 
     A module global so callers can wrap it where the search looks it up.
     """
     maxiter, gtol = options["maxiter"], options["gtol"]
+    f_stop = options.get("f_stop", -math.inf)
     x = np.array(x0, dtype=float)
-    f, g = float(fun(x)), jac(x)
-    steps = changes = no_history = np.empty((0, x.size))
+    f = float(fun(x))
     nit = 0
+    if f <= f_stop:
+        return MinimizeResult(x, f, nit, MinimizeStatus.REACHED_F_STOP)
+    g = jac(x)
+    steps = changes = no_history = np.empty((0, x.size))
     while not abs(g).max() <= gtol:
         if nit >= maxiter:
             return MinimizeResult(x, f, nit, MinimizeStatus.ITERATION_CAP)
@@ -194,18 +210,21 @@ def minimize(fun, x0, jac, options) -> MinimizeResult:
             steps = changes = no_history
             d, slope = -g, float(g @ -g)
         step = 1.0 if len(steps) else 1.0 / math.sqrt(-slope)
-        found = _backtrack(fun, jac, x, f, d, slope, step)
+        found = _backtrack(fun, x, f, d, slope, step)
         if found is None:
             if not len(steps):
                 return MinimizeResult(x, f, nit, MinimizeStatus.LINE_SEARCH_FAILED)
             steps = changes = no_history
             continue
-        x_new, f_new, g_new = found
+        x_new, f_new = found
+        nit += 1
+        if f_new <= f_stop:
+            return MinimizeResult(x_new, f_new, nit, MinimizeStatus.REACHED_F_STOP)
+        g_new = jac(x_new)
         s, y = x_new - x, g_new - g
         if s @ y > EPS * (y @ y):  # skip a pair that would break positive definiteness
             steps = np.concatenate((steps[1 - HISTORY :], s[None]))
             changes = np.concatenate((changes[1 - HISTORY :], y[None]))
-        nit += 1
         small_drop = f - f_new <= F_RTOL * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if small_drop:
@@ -411,9 +430,10 @@ def _columns(x: np.ndarray, m: int):
 
 
 def _column_objective(rho: DensityMatrix):
-    """The search's objective as two functions of x: ``value(x)``, the
-    violation at x, and ``grad(x)``, its gradient over x, at the x that
-    ``value`` last ran at.
+    """The search's objective as three functions of x: ``value(x)``, the
+    violation at x; ``grad(x)``, its gradient over x, at the x that
+    ``value`` last ran at; and ``columns(x)``, the orthonormal columns
+    (qa, qb) at x, each side's two columns as rows.
 
     :func:`_columns` maps x to two orthonormal columns on each side, which
     stand for columns j, k of u and of v; :func:`evaluate_pair_columns`
@@ -427,24 +447,41 @@ def _column_objective(rho: DensityMatrix):
     optimizer differently. ``evaluate_pair_columns`` and
     ``pair_columns_grad`` are looked up in this module on every call, where
     callers can wrap them.
+
+    ``columns`` hands out the columns ``value`` computed, with no second
+    Gram-Schmidt, when x is the very array ``value`` or ``grad`` last ran
+    at. Those are the two points :func:`minimize` can return: the point
+    that reached its stop value, where only ``value`` ran, and otherwise
+    its last accepted point, where ``grad`` last ran; backtracking may have
+    evaluated rejected points since. At any other x it runs
+    :func:`_columns`, which gives the same bits.
     """
     m = rho.shape.dim_a
-    kept = None  # what value(x) left for grad(x)
+    kept = accepted = None  # (x, y, lw, qa, ra, qb, rb) where value, grad last ran
 
     def value(x) -> float:
         nonlocal kept
         (qa, ra), (qb, rb) = _columns(x, m)
         y, lw = evaluate_pair_columns(rho, qa.T, qb.T)
-        kept = y, lw, qa, ra, qb, rb
+        kept = x, y, lw, qa, ra, qb, rb
         return y.f
 
     def grad(x) -> np.ndarray:
-        y, lw, qa, ra, qb, rb = kept
+        nonlocal accepted
+        accepted = kept
+        _, y, lw, qa, ra, qb, rb = kept
         gu, gv = pair_columns_grad(y, lw, qa.T, qb.T)
         ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
         return np.concatenate((ga, gb), axis=1).view(float).ravel()
 
-    return value, grad
+    def columns(x):
+        for at in (kept, accepted):
+            if at is not None and at[0] is x:
+                return at[3], at[5]
+        (qa, _), (qb, _) = _columns(x, m)
+        return qa, qb
+
+    return value, grad, columns
 
 
 def _pack(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -627,12 +664,16 @@ def maximize_violation(
     best point over all runs, the earliest on ties, is read off as theta
     (:func:`_theta`), and the certificate is evaluated at the unitaries
     :func:`build_unitaries` rebuilds from it, so the reported violation
-    never depends on trusting the optimizer's bookkeeping. When that point
-    is the zero start's, unmoved (no iteration accepted), theta is zero
-    and the certificate is evaluated at the identity, the same bits without
-    the read-off or the exponentials. ``evaluations`` counts objective
-    evaluations of f; the gradient's tail runs only where :func:`minimize`
-    asks for it, once per start and once per accepted step.
+    never depends on trusting the optimizer's bookkeeping. The read-off
+    takes the columns the objective computed at the point :func:`minimize`
+    returned (``columns`` of :func:`_column_objective`), the bits
+    :func:`_columns` gives there. When that point is the zero start's,
+    unmoved (no iteration accepted), theta is zero and the certificate is
+    evaluated at the identity, the same bits without the read-off or the
+    exponentials. ``evaluations`` counts objective evaluations of f; the
+    gradient's tail runs only where :func:`minimize` asks for it, once per
+    start and once per accepted step, except at a point that ends its
+    start at the spectral bound.
 
     One eigen-solve of the partial transpose (:func:`ppt_eigen`) decides
     how many starts run, and the report reuses its minimum eigenvalue:
@@ -643,7 +684,10 @@ def maximize_violation(
       certifies and lies within BOUND_TOL of the spectral bound
       B = 4 max(0, -lambda_min) lambda_max, which no point exceeds (see the
       comment at the stop), so the later starts could not raise best_f by
-      more than about BOUND_TOL.
+      more than about BOUND_TOL. When B - BOUND_TOL > VIOLATION_TOL, that
+      test reaches each ascent as :func:`minimize`'s ``f_stop``, so the
+      start also ends at the first point that passes it, before a
+      gradient there.
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
@@ -665,13 +709,13 @@ def maximize_violation(
     # never above VIOLATION_TOL.
     proven_ppt = ppt_min > PPT_TOL
     bound = 4 * max(0.0, -ppt_min) * float(vals[-1])
-    value, grad = _column_objective(rho)
+    value, grad, columns = _column_objective(rho)
     evaluations = 0
-    best = None  # (f, x), x None while the zero start has not moved
+    best = None  # (f, (qa, qb)), the columns None while the zero start has not moved
 
     # minimize asks for the gradient only at the point whose f it has just
     # asked for, so neg_grad reads what neg_f kept there, and only the
-    # points minimize accepts pay for a gradient.
+    # points minimize accepts short of the stop pay for a gradient.
     def neg_f(x) -> float:
         nonlocal evaluations
         evaluations += 1
@@ -698,13 +742,22 @@ def maximize_violation(
             yield _pack(qa.T, qb.T)
 
     options = {"maxiter": cfg.max_iters, "gtol": GTOL}
+    # The stop below also ends each ascent: when bound - BOUND_TOL >
+    # VIOLATION_TOL, f >= bound - BOUND_TOL alone passes the stop's test, so
+    # minimize returns at the first point where it holds, before a gradient
+    # there. Otherwise (a proven-PPT state has B = 0) every start ascends
+    # in full and only the test between starts applies.
+    if bound - BOUND_TOL > VIOLATION_TOL:
+        options["f_stop"] = -(bound - BOUND_TOL)
     for x0 in starts():
         res = minimize(neg_f, x0, jac=neg_grad, options=options)
         cand = -float(res.fun)
+        # columns(res.x) reads what the objective kept at res.x, so it runs
+        # before the next start evaluates anything
         if best is None:  # the zero start; with nit 0 it is the identity's columns
-            best = (cand, res.x if res.nit else None)
+            best = (cand, columns(res.x) if res.nit else None)
         elif cand > best[0]:
-            best = (cand, res.x)
+            best = (cand, columns(res.x))
         # No point exceeds the bound, so no skipped start could beat best_f
         # by more than about BOUND_TOL:
         # - at orthonormal columns, x and y (module docstring) are
@@ -723,7 +776,7 @@ def maximize_violation(
     if best[1] is None:  # theta = 0 exactly, and exp(0) is the identity
         params, uv = UnitaryParams.zero(shape), _identity(shape)
     else:
-        (qa, _), (qb, _) = _columns(best[1], shape.dim_a)
+        qa, qb = best[1]
         params = _theta(qa.T, qb.T, pair)
         uv = build_unitaries(params, shape)
     y = evaluate_pair(rho, pair, uv)

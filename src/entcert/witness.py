@@ -26,6 +26,7 @@ optimizer asks for it; :func:`evaluate_pair_grad` runs the two in turn.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -218,16 +219,28 @@ def _real_values(traces) -> YValues:
 
     Complex scalars give np.float64 values (a float subclass), arrays over a
     stack give float arrays, and the check covers every slice. The error
-    names the largest residual.
+    names the largest residual. A NaN among the residuals, as at a
+    non-finite trial point of the search, passes on both routes: numpy's
+    max propagates it.
     """
+    t1, t2, t3 = traces
+    if isinstance(t1, np.generic):  # one pair: three numpy scalars, read directly
+        imag = t1.imag, t2.imag, t3.imag
+        a1, a2, a3 = map(abs, imag)
+        if (a1 > IMAG_TOL or a2 > IMAG_TOL or a3 > IMAG_TOL) and not math.isnan(a1 + a2 + a3):
+            raise _imag_error(max(imag, key=abs))
+        return YValues(t1.real, t2.real, t3.real)
     values = np.asarray(traces)  # one array: a single conversion, not one per value
     imag = values.imag
     if np.abs(imag).max(initial=0.0) > IMAG_TOL:
-        raise ValueError(
-            f"expectation value has imaginary residual {imag.flat[np.abs(imag).argmax()]:.3e}; "
-            "input state or triple is corrupted"
-        )
+        raise _imag_error(imag.flat[np.abs(imag).argmax()])
     return YValues(*values.real)
+
+
+def _imag_error(worst) -> ValueError:
+    return ValueError(
+        f"expectation value has imaginary residual {worst:.3e}; input state or triple is corrupted"
+    )
 
 
 def evaluate(rho: DensityMatrix, t: WitnessTriple, uv: LocalUnitaryPair) -> YValues:

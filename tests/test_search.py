@@ -30,6 +30,7 @@ from entcert.search import (
     MinimizeStatus,
     _backtrack,
     _column_objective,
+    _columns,
     _eigenvector_start,
     _gram_schmidt,
     _lbfgs_direction,
@@ -282,6 +283,52 @@ def test_minimize_reaches_gtol():
         assert np.abs(res.x - x_min).max() < x_tol
 
 
+def _logged_minimize(fun, jac, x0, options):
+    """minimize's result and its ("fun" or "jac", x) calls in order."""
+    calls = []
+
+    def logged(kind, fn):
+        def call(x):
+            calls.append((kind, x))
+            return fn(x)
+
+        return call
+
+    return minimize(logged("fun", fun), x0, logged("jac", jac), options), calls
+
+
+def test_minimize_stops_at_f_stop_before_the_gradient():
+    fun, jac, _ = _quadratic(5)
+    x0 = np.full(5, 3.0)
+    opts = {"maxiter": 400, "gtol": 1e-5}
+    full, full_calls = _logged_minimize(fun, jac, x0, opts)
+    # f at x0 already at the stop value, or equal to it: one call of fun,
+    # no gradient, no iteration
+    for f_stop in (fun(x0) + 1.0, fun(x0)):
+        res, calls = _logged_minimize(fun, jac, x0, {**opts, "f_stop": f_stop})
+        assert [kind for kind, _ in calls] == ["fun"]
+        assert res.status is MinimizeStatus.REACHED_F_STOP and res.nit == 0
+        assert res.x.tobytes() == x0.tobytes() and res.fun == fun(x0)
+    # reached at an accepted point: the run is the full run's up to that
+    # point's f, and ends there with no gradient
+    accepted = [x for (_, x), (kind, after) in zip(full_calls, full_calls[1:]) if kind == "jac" and after is x]
+    assert len(accepted) > 3
+    target = accepted[3]
+    res, calls = _logged_minimize(fun, jac, x0, {**opts, "f_stop": fun(target)})
+    assert res.status is MinimizeStatus.REACHED_F_STOP and res.nit == 3
+    assert res.x.tobytes() == target.tobytes() and res.fun == fun(target)
+    assert [(kind, x.tobytes()) for kind, x in calls] == [
+        (kind, x.tobytes()) for kind, x in full_calls[: len(calls)]
+    ]
+    assert calls[-1][0] == "fun" and calls[-1][1] is res.x
+    assert full_calls[len(calls)][0] == "jac" and full_calls[len(calls)][1] is target
+    # a stop value never reached, or NaN, leaves the call sequence alone
+    for f_stop in (-np.inf, fun(full.x) - 1.0, float("nan")):
+        res, calls = _logged_minimize(fun, jac, x0, {**opts, "f_stop": f_stop})
+        assert [(kind, x.tobytes()) for kind, x in calls] == [(kind, x.tobytes()) for kind, x in full_calls]
+        assert res.status is MinimizeStatus.CONVERGED and res.x.tobytes() == full.x.tobytes()
+
+
 def test_lbfgs_direction_matches_two_loop_recursion():
     # _lbfgs_direction reorders the textbook recursion's arithmetic, so it
     # agrees to rounding, not to the bit.
@@ -310,36 +357,42 @@ def test_line_search_backtracks_to_sufficient_decrease():
     # From a step far too short, about right, and far too long, along
     # -gradient and along a poorly scaled descent direction. Trial i is
     # x + step 2^-i d; every trial before the accepted one failed
-    # sufficient decrease, and jac runs once, at the accepted point. Along
-    # the poorly scaled direction, 1e3 halved MAX_LINE_EVALS - 1 times is
-    # still too far, so that line search fails.
+    # sufficient decrease, and the line search asks for no gradient at
+    # all: minimize asks for one once, at the accepted point (checked
+    # below). Along the poorly scaled direction, 1e3 halved
+    # MAX_LINE_EVALS - 1 times is still too far, so that line search fails.
     x = np.array([-1.2, 1.0, 0.3])
     f0, g0 = _rosenbrock(x), _rosenbrock_grad(x)
     for d in (-g0, -g0 * np.array([1.0, 30.0, 0.1])):
         slope0 = float(g0 @ d)
         for step in (1e-6, 1.0 / np.linalg.norm(d), 1e3):
-            trials, jac_calls = [], []
+            trials = []
 
             def fun(x_trial):
                 trials.append(x_trial)
                 return _rosenbrock(x_trial)
 
-            def jac(x_new):
-                jac_calls.append(x_new)
-                return _rosenbrock_grad(x_new)
-
-            found = _backtrack(fun, jac, x, f0, d, slope0, step)
+            found = _backtrack(fun, x, f0, d, slope0, step)
             ts = [step * 2.0**-i for i in range(len(trials))]
             assert [p.tobytes() for p in trials] == [(x + t * d).tobytes() for t in ts]
             decrease = [_rosenbrock(p) <= f0 + ARMIJO_C1 * t * slope0 for p, t in zip(trials, ts)]
             if found is None:
-                assert len(trials) == MAX_LINE_EVALS and not any(decrease) and not jac_calls
+                assert len(trials) == MAX_LINE_EVALS and not any(decrease)
                 continue
-            x_new, f, g = found
+            x_new, f = found
             assert decrease == [False] * (len(trials) - 1) + [True]
             assert x_new.tobytes() == trials[-1].tobytes() and f == _rosenbrock(x_new)
-            assert len(jac_calls) == 1 and jac_calls[0] is x_new
-            assert g.tolist() == _rosenbrock_grad(x_new).tolist()
+    # minimize's first iteration from x is this line search along -gradient
+    # from the step 1 / |gradient|; jac then runs once, at the accepted
+    # point, which minimize returns once maxiter = 1 stops it there.
+    res, calls = _logged_minimize(_rosenbrock, _rosenbrock_grad, x, {"maxiter": 1, "gtol": 1e-7})
+    trials = []
+    x_new, _ = _backtrack(lambda p: trials.append(p) or _rosenbrock(p), x, f0, -g0, float(g0 @ -g0),
+                          1.0 / np.sqrt(g0 @ g0))
+    assert [kind for kind, _ in calls] == ["fun", "jac"] + ["fun"] * len(trials) + ["jac"]
+    assert [p.tobytes() for _, p in calls[2:-1]] == [p.tobytes() for p in trials]
+    assert calls[-1][1] is calls[-2][1] is res.x and res.x.tobytes() == x_new.tobytes()
+    assert res.nit == 1 and res.status is MinimizeStatus.ITERATION_CAP
 
 
 def test_minimize_iteration_cap():
@@ -380,8 +433,8 @@ def test_minimize_is_deterministic():
 def _record_calls(monkeypatch):
     """Wrap search.minimize, where the benchmark's tracer wraps it, so that
     every ``fun`` and ``jac`` argument is logged in call order as
-    ("fun" or "jac", x's bytes), and each run's iteration count as
-    ("nit", count) once it returns."""
+    ("fun" or "jac", x's bytes), and each run's result as ("res", result)
+    once it returns."""
     import entcert.search as search_mod
 
     log = []
@@ -396,15 +449,25 @@ def _record_calls(monkeypatch):
 
     def recording(fun, x0, jac, options):
         res = real_minimize(logged("fun", fun), x0, logged("jac", jac), options)
-        log.append(("nit", res.nit))
+        log.append(("res", res))
         return res
 
     monkeypatch.setattr(search_mod, "minimize", recording)
     return search_mod.minimize, log
 
 
+def _locally_rotated(rho, eps, seed):
+    """rho conjugated by a seeded local unitary exp(i eps h_a) (x) exp(i eps h_b)."""
+    rng = np.random.default_rng(seed)
+    u, v = (unitary_exp(eps * random_hermitian(rng, n)) for n in (rho.shape.dim_a, rho.shape.dim_b))
+    w = np.kron(u, v)
+    return ec.DensityMatrix(rho.shape, w @ rho.mat @ w.conj().T)
+
+
 CALL_ORDER_SEARCHES = {
     "werner(1)": lambda: ec.werner(1.0),
+    # the zero start reaches the spectral bound at an accepted step
+    "werner(1), rotated": lambda: _locally_rotated(ec.werner(1.0), 0.1, 1),
     "horodecki33(4.0)": lambda: ec.horodecki33(4.0),
     "random_density(3x3, seed=0)": lambda: ec.random_density(BipartiteShape(3, 3), seed=0),
 }
@@ -415,7 +478,9 @@ def test_jac_runs_only_at_the_point_fun_just_ran(monkeypatch):
     # right only if minimize asks for each gradient at the point whose f it
     # asked for just before. Backtracking asks for f at points it then
     # rejects; their gradients must never be asked for, nor computed: the
-    # gradient's tail runs once per start and once per accepted step.
+    # gradient's tail runs once per start and once per accepted step,
+    # except at the point where a start reaches the spectral bound, which
+    # ends that start with no gradient there.
     import entcert.search as search_mod
 
     wrapped_minimize, log = _record_calls(monkeypatch)
@@ -435,15 +500,39 @@ def test_jac_runs_only_at_the_point_fun_just_ran(monkeypatch):
         tails.clear()
         maximize_violation(make())
         runs[name] = list(log)
-        nits = [count for kind, count in log if kind == "nit"]
-        assert len(tails) == len(nits) + sum(nits), name
+        results = [res for kind, res in log if kind == "res"]
+        stopped = [res.status is MinimizeStatus.REACHED_F_STOP for res in results]
+        assert len(tails) == sum(res.nit + 1 for res in results) - sum(stopped), name
+    stopped_at = {}
     for name, run in runs.items():
-        run = [entry for entry in run if entry[0] != "nit"]
-        kinds = [kind for kind, _ in run]
-        assert kinds[:2] == ["fun", "jac"], name
-        for before, (kind, x) in zip(run, run[1:]):
-            if kind == "jac":
-                assert before == ("fun", x), name
+        # each run of minimize: fun at x0, then jac there unless f there
+        # reached the stop value. A run that stopped ends at fun at the
+        # point it returns; any other asked for its last gradient there.
+        # Every jac follows fun at the same point.
+        starts, calls = [], []
+        for kind, x in run:
+            if kind == "res":
+                starts.append((x, calls))
+                calls = []
+            else:
+                calls.append((kind, x))
+        for res, calls in starts:
+            kinds = [kind for kind, _ in calls]
+            stopped = res.status is MinimizeStatus.REACHED_F_STOP
+            assert kinds[:2] == (["fun"] if stopped and not res.nit else ["fun", "jac"]), name
+            if stopped:
+                assert calls[-1] == ("fun", res.x.tobytes()), name
+            else:
+                assert [x for kind, x in calls if kind == "jac"][-1] == res.x.tobytes(), name
+            for before, (kind, x) in zip(calls, calls[1:]):
+                if kind == "jac":
+                    assert before == ("fun", x), name
+            if stopped:
+                stopped_at[name] = res.nit
+    # werner(1)'s one start stops at x0 and logs fun alone; the rotated
+    # one stops at an accepted step
+    assert [kind for kind, _ in runs["werner(1)"]] == ["fun", "res"]
+    assert stopped_at["werner(1)"] == 0 and stopped_at["werner(1), rotated"] > 0
     # the rule was tested where backtracking rejected points
     for name in ("rosenbrock", "horodecki33(4.0)", "random_density(3x3, seed=0)"):
         kinds = [kind for kind, _ in runs[name]]
@@ -499,6 +588,88 @@ def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+# Searches whose winning start is of each kind (the zero start, the
+# eigenvector start or a random start) and ends each way: the state, the
+# config, whether GTOL and F_RTOL are zeroed, and the winner's status.
+# Zeroing both tolerances keeps each start ascending until its line search
+# fails, so backtracking evaluates rejected points after the point it returns.
+COLUMN_HAND_OFF = {
+    "zero start, converged":
+        (lambda: ec.random_density(BipartiteShape(3, 3), seed=2), SearchConfig(), False, MinimizeStatus.CONVERGED),
+    "zero start, stopped at an accepted step":
+        (lambda: _locally_rotated(ec.werner(1.0), 0.1, 1), SearchConfig(), False, MinimizeStatus.REACHED_F_STOP),
+    "eigenvector start, stopped at x0":
+        (lambda: ec.iso23(1.0), SearchConfig(), False, MinimizeStatus.REACHED_F_STOP),
+    "eigenvector start, iteration cap":
+        (lambda: ec.random_density(BipartiteShape(3, 3), seed=0), SearchConfig(max_iters=3), False,
+         MinimizeStatus.ITERATION_CAP),
+    "random start, converged":
+        (lambda: ec.random_density(BipartiteShape(3, 3), seed=0), SearchConfig(), False, MinimizeStatus.CONVERGED),
+    "random start, line search failed":
+        (lambda: ec.random_density(BipartiteShape(3, 3), seed=0), SearchConfig(), True,
+         MinimizeStatus.LINE_SEARCH_FAILED),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_HAND_OFF)
+def test_theta_reads_the_columns_of_the_point_minimize_returned(monkeypatch, name):
+    # The winner's columns come from what the objective kept at the point
+    # minimize returned, not from a second Gram-Schmidt: they must be the
+    # bits _columns gives there, whichever start won and however it ended.
+    import entcert.search as search_mod
+
+    make, cfg, no_tolerances, status = COLUMN_HAND_OFF[name]
+    results, read = [], []
+    real_minimize, real_theta = search_mod.minimize, search_mod._theta
+
+    def recording(fun, x0, jac, options):
+        results.append(real_minimize(fun, x0, jac, options))
+        return results[-1]
+
+    def theta(u2, v2, levels):
+        read.append((u2, v2))
+        return real_theta(u2, v2, levels)
+
+    monkeypatch.setattr(search_mod, "minimize", recording)
+    monkeypatch.setattr(search_mod, "_theta", theta)
+    if no_tolerances:
+        monkeypatch.setattr(search_mod, "GTOL", 0.0)
+        monkeypatch.setattr(search_mod, "F_RTOL", 0.0)
+    rho = make()
+    rep = maximize_violation(rho, cfg)
+    fs = [-res.fun for res in results]
+    best = fs.index(max(fs))  # the merge keeps the earliest of equal values
+    won = results[best]
+    assert name.startswith(("zero start", "eigenvector start")[best] if best < 2 else "random start")
+    assert won.status is status
+    assert (won.nit == 0) == name.endswith("at x0")
+    assert len(read) == 1
+    (qa, _), (qb, _) = _columns(won.x, rho.shape.dim_a)
+    for got, want in zip(read[0], (qa.T, qb.T)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rep.best_f == objective(rho, rep.best_pair, rep.best_params)
+
+
+def test_column_objective_hands_out_the_columns_value_computed():
+    # columns(x) hands out the arrays value computed at x when x is the
+    # point value or grad last ran at, and the same bits from a fresh
+    # Gram-Schmidt at any other point.
+    rho = ec.random_density(BipartiteShape(3, 4), seed=1)
+    value, grad, columns = _column_objective(rho)
+    x1, x2, x3 = np.random.default_rng(2).standard_normal((3, 28))
+    for x in (x1, x2, x3):
+        (qa, _), (qb, _) = _columns(x, 3)
+        assert [q.tobytes() for q in columns(x)] == [qa.tobytes(), qb.tobytes()]
+    value(x1)
+    grad(x1)
+    at_x1 = columns(x1)
+    value(x2)
+    assert columns(x1)[0] is at_x1[0] and columns(x1)[1] is at_x1[1]
+    assert columns(x2)[0] is not at_x1[0]
+    copy = x2.copy()
+    assert [q.tobytes() for q in columns(copy)] == [q.tobytes() for q in columns(x2)]
 
 
 def test_cached_starts_are_read_only_and_searches_repeat():
@@ -700,7 +871,7 @@ def test_search_gradient_matches_central_differences(m, n):
     rng = np.random.default_rng(10 * m + n)
     eps = 1e-6
     rho = ec.random_density(sh, seed=10 * m + n)
-    value, grad = _column_objective(rho)
+    value, grad, _ = _column_objective(rho)
     for pair in valid_pairs(sh):
         cols = [pair[0] - 1, pair[1] - 1]
         eye = LocalUnitaryPair.identity(sh)

@@ -248,6 +248,33 @@ def test_evaluate_errors():
     assert evaluate_pair(bad, (1, 2), LocalUnitaryPair(np.stack([swap, swap]), eye)).y1.shape == (2,)
     with pytest.raises(ValueError, match="imaginary residual 4.000e-01"):
         evaluate_pair(bad, (1, 2), LocalUnitaryPair(np.stack([swap, eye, swap]), eye))
+    # A single pair reads its three scalars directly, a stack goes through
+    # one array: the same error text, sign included, and np.float64 values
+    # either way (the CLI prints their repr).
+    stack = LocalUnitaryPair(np.stack([swap, eye]), eye)
+    for a, d in ((0.1, 0.3), (-0.1, -0.3)):  # y2, y3 pick up a - d, a + d
+        mat[0, 0], mat[3, 3] = complex(0.25, a), complex(0.25, d)
+        errors = []
+        for uv in (LocalUnitaryPair.identity(sh22), stack):
+            with pytest.raises(ValueError) as err:
+                evaluate_pair(bad, (1, 2), uv)
+            errors.append(str(err.value))
+        with pytest.raises(ValueError) as err:
+            evaluate(bad, t, LocalUnitaryPair.identity(sh22))
+        errors.append(str(err.value))
+        assert len(set(errors)) == 1, errors
+        assert errors[0].startswith(f"expectation value has imaginary residual {a + d:.3e};")
+    good = evaluate_pair(werner(0.5), (1, 2), LocalUnitaryPair.identity(sh22))
+    assert all(type(getattr(good, name)) is np.float64 for name in ("y1", "y2", "y3"))
+    good = evaluate(werner(0.5), t, LocalUnitaryPair.identity(sh22))
+    assert all(type(getattr(good, name)) is np.float64 for name in ("y1", "y2", "y3"))
+    good = evaluate_pair(werner(0.5), (1, 2), stack)
+    assert all(getattr(good, name).dtype == np.float64 for name in ("y1", "y2", "y3"))
+    # numpy's max propagates a NaN residual, so neither route raises on one,
+    # even beside a residual above IMAG_TOL
+    mat[1, 2] = complex(0.0, np.nan)
+    for uv in (LocalUnitaryPair.identity(sh22), stack):
+        assert np.isnan(evaluate_pair(bad, (1, 2), uv).y1).all()
     with pytest.raises(ValueError, match="do not match"):
         evaluate_pair(werner(0.5), (1, 2), LocalUnitaryPair(np.zeros((3, 3, 3)), eye))
     # A stack of columns is refused before any product is formed: stacks of
