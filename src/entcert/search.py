@@ -39,11 +39,12 @@ how far the search need go:
   above PPT_TOL, far above the eigen-solve's rounding), f <= 0 everywhere
   and no start can certify, so the zero start runs alone;
 - otherwise f <= B = 4 max(0, -lambda_min) lambda_max everywhere, by
-  interlacing, and the search stops after the first start that certifies
-  and reaches B. That start ends at the first point that does, its start
-  or an accepted step, with no gradient there. The eigenvector start
-  reaches B on the named states, so their searches end after two starts
-  and two evaluations at most.
+  interlacing. Every ascent gets one stop value, :func:`minimize`'s
+  ``f_stop``, passed once f certifies (f > VIOLATION_TOL) and reaches B
+  (f >= B - BOUND_TOL). A start that passes it ends there, its start or
+  an accepted step, with no gradient there, and so does the search. The
+  eigenvector start reaches B on the named states, so their searches end
+  after two starts and two evaluations at most.
 
 What it detects: f > 0 is reachable exactly when rho^Gamma is negative on
 some vector of Schmidt rank <= 2 (1-copy distillability); NPT states with
@@ -448,16 +449,15 @@ def _column_objective(rho: DensityMatrix):
     ``pair_columns_grad`` are looked up in this module on every call, where
     callers can wrap them.
 
-    ``columns`` hands out the columns ``value`` computed, with no second
-    Gram-Schmidt, when x is the very array ``value`` or ``grad`` last ran
-    at. Those are the two points :func:`minimize` can return: the point
-    that reached its stop value, where only ``value`` ran, and otherwise
-    its last accepted point, where ``grad`` last ran; backtracking may have
-    evaluated rejected points since. At any other x it runs
+    ``value`` keeps one point: ``columns`` hands out the columns it
+    computed, with no second Gram-Schmidt, when x is the very array
+    ``value`` last ran at. That is the point :func:`minimize` returns for
+    every status but LINE_SEARCH_FAILED, whose backtracking evaluated
+    rejected points after it. At any other x ``columns`` runs
     :func:`_columns`, which gives the same bits.
     """
     m = rho.shape.dim_a
-    kept = accepted = None  # (x, y, lw, qa, ra, qb, rb) where value, grad last ran
+    kept = None  # (x, y, lw, qa, ra, qb, rb) where value last ran
 
     def value(x) -> float:
         nonlocal kept
@@ -467,17 +467,14 @@ def _column_objective(rho: DensityMatrix):
         return y.f
 
     def grad(x) -> np.ndarray:
-        nonlocal accepted
-        accepted = kept
         _, y, lw, qa, ra, qb, rb = kept
         gu, gv = pair_columns_grad(y, lw, qa.T, qb.T)
         ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
         return np.concatenate((ga, gb), axis=1).view(float).ravel()
 
     def columns(x):
-        for at in (kept, accepted):
-            if at is not None and at[0] is x:
-                return at[3], at[5]
+        if kept is not None and kept[0] is x:
+            return kept[3], kept[5]
         (qa, _), (qb, _) = _columns(x, m)
         return qa, qb
 
@@ -680,14 +677,13 @@ def maximize_violation(
     - the zero start runs alone when that minimum exceeds PPT_TOL, which
       proves the partial transpose positive, and then f <= 0 at every point
       (see the comment at the gate), so no start could certify;
-    - otherwise the search stops after the first start whose best violation
-      certifies and lies within BOUND_TOL of the spectral bound
-      B = 4 max(0, -lambda_min) lambda_max, which no point exceeds (see the
-      comment at the stop), so the later starts could not raise best_f by
-      more than about BOUND_TOL. When B - BOUND_TOL > VIOLATION_TOL, that
-      test reaches each ascent as :func:`minimize`'s ``f_stop``, so the
-      start also ends at the first point that passes it, before a
-      gradient there.
+    - otherwise every ascent runs with :func:`minimize`'s ``f_stop`` at
+      -max(B - BOUND_TOL, nextafter(VIOLATION_TOL)), where
+      B = 4 max(0, -lambda_min) lambda_max is the spectral bound, which no
+      point exceeds (see the comment at ``f_stop``). A start whose f
+      certifies and lies within BOUND_TOL of B ends at that point, before
+      a gradient there, and the search ends with it: the later starts
+      could not raise best_f by more than about BOUND_TOL.
     """
     cfg = SearchConfig() if cfg is None else cfg
     shape = rho.shape
@@ -741,14 +737,22 @@ def maximize_violation(
             (qa, _), (qb, _) = _columns(x, shape.dim_a)
             yield _pack(qa.T, qb.T)
 
-    options = {"maxiter": cfg.max_iters, "gtol": GTOL}
-    # The stop below also ends each ascent: when bound - BOUND_TOL >
-    # VIOLATION_TOL, f >= bound - BOUND_TOL alone passes the stop's test, so
-    # minimize returns at the first point where it holds, before a gradient
-    # there. Otherwise (a proven-PPT state has B = 0) every start ascends
-    # in full and only the test between starts applies.
-    if bound - BOUND_TOL > VIOLATION_TOL:
-        options["f_stop"] = -(bound - BOUND_TOL)
+    # No point exceeds the spectral bound B, so once a start certifies
+    # within BOUND_TOL of it, no later start could raise best_f by more than
+    # about BOUND_TOL, nor move the certified verdict:
+    # - at orthonormal columns, x and y (module docstring) are orthonormal,
+    #   so [[a, c], [conj(c), b]] is a compression of rho^Gamma, and its
+    #   eigenvalues mu_1 <= mu_2 lie in [lambda_min, lambda_max] (Cauchy
+    #   interlacing). So f / 4 <= |c|^2 - ab = -mu_1 mu_2 <= B / 4;
+    # - the computed eigenvalues are within p(n) eps ||rho||_F of the exact
+    #   ones by Weyl, as at the gate, and f's own rounding is of order eps;
+    #   BOUND_TOL is far above both.
+    # f >= max(B - BOUND_TOL, nextafter(VIOLATION_TOL)) is that test, as
+    # f > VIOLATION_TOL and f >= B - BOUND_TOL. minimize returns at the first
+    # point that passes it, before a gradient there, and the search ends.
+    # A proven-PPT state has f <= 0, so its zero start never stops early.
+    f_stop = -max(bound - BOUND_TOL, math.nextafter(VIOLATION_TOL, math.inf))
+    options = {"maxiter": cfg.max_iters, "gtol": GTOL, "f_stop": f_stop}
     for x0 in starts():
         res = minimize(neg_f, x0, jac=neg_grad, options=options)
         cand = -float(res.fun)
@@ -758,19 +762,7 @@ def maximize_violation(
             best = (cand, columns(res.x) if res.nit else None)
         elif cand > best[0]:
             best = (cand, columns(res.x))
-        # No point exceeds the bound, so no skipped start could beat best_f
-        # by more than about BOUND_TOL:
-        # - at orthonormal columns, x and y (module docstring) are
-        #   orthonormal, so [[a, c], [conj(c), b]] is a compression of
-        #   rho^Gamma, and its eigenvalues mu_1 <= mu_2 lie in
-        #   [lambda_min, lambda_max] (Cauchy interlacing). So
-        #   f / 4 <= |c|^2 - ab = -mu_1 mu_2 <= max(0, -lambda_min) lambda_max;
-        # - the computed eigenvalues are within p(n) eps ||rho||_F of the
-        #   exact ones by Weyl, as at the gate, and f's own rounding is of
-        #   order eps; BOUND_TOL is far above both.
-        # The stop also needs best_f > VIOLATION_TOL, so the verdict is
-        # already certified and no later start could move it.
-        if best[0] > VIOLATION_TOL and best[0] >= bound - BOUND_TOL:
+        if res.status is MinimizeStatus.REACHED_F_STOP:
             break
 
     if best[1] is None:  # theta = 0 exactly, and exp(0) is the identity

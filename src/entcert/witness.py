@@ -21,7 +21,7 @@ scan and the contraction once per state (:func:`evaluate_pair_states`).
 The search optimises over the two columns themselves, so its
 :func:`evaluate_pair_columns` takes them as given and runs both steps, and
 :func:`pair_columns_grad` adds the gradient of f over the columns where the
-optimizer asks for it; :func:`evaluate_pair_grad` runs the two in turn.
+optimizer asks for it.
 """
 
 from __future__ import annotations
@@ -378,16 +378,6 @@ def pair_columns_grad(
     gu = np.einsum("abst,bt->as", gw, v2.conj())
     gv = np.einsum("abst,as->bt", gw, u2.conj())
     return gu, gv
-
-
-def evaluate_pair_grad(
-    rho: DensityMatrix, u2: np.ndarray, v2: np.ndarray
-) -> tuple[YValues, np.ndarray, np.ndarray]:
-    """The y values of one pair's columns and the gradient of f over them:
-    (y, gu, gv), :func:`evaluate_pair_columns` followed by
-    :func:`pair_columns_grad`."""
-    y, lw = evaluate_pair_columns(rho, u2, v2)
-    return (y, *pair_columns_grad(y, lw, u2, v2))
 
 
 def check_inequality(y: YValues) -> Verdict:

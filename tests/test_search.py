@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from entcert import (
 )
 from entcert.search import (
     ARMIJO_C1,
+    BOUND_TOL,
     MAX_LINE_EVALS,
     SCAN_FAMILIES,
     MinimizeResult,
@@ -40,7 +42,15 @@ from entcert.search import (
 )
 from entcert.dmfile import read_density
 from entcert.states import FAMILY_PARAMS
-from entcert.witness import PPT_TOL, PptVerdict, evaluate_pair, evaluate_pair_grad, ppt_eigen, ppt_min_eigenvalue
+from entcert.witness import (
+    PPT_TOL,
+    VIOLATION_TOL,
+    PptVerdict,
+    evaluate_pair,
+    evaluate_pair_columns,
+    ppt_eigen,
+    ppt_min_eigenvalue,
+)
 from conftest import noisy_random_state, random_hermitian, werner_dd
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -652,24 +662,53 @@ def test_theta_reads_the_columns_of_the_point_minimize_returned(monkeypatch, nam
     assert rep.best_f == objective(rho, rep.best_pair, rep.best_params)
 
 
-def test_column_objective_hands_out_the_columns_value_computed():
-    # columns(x) hands out the arrays value computed at x when x is the
-    # point value or grad last ran at, and the same bits from a fresh
-    # Gram-Schmidt at any other point.
+def test_column_objective_hands_out_the_columns_value_computed(monkeypatch):
+    # The objective keeps one point, the x value last ran at: columns(x)
+    # hands out the very arrays value computed there, with no Gram-Schmidt,
+    # and at any other point, an earlier grad point or an equal copy
+    # included, the bits of a fresh Gram-Schmidt.
+    import entcert.search as search_mod
+
     rho = ec.random_density(BipartiteShape(3, 4), seed=1)
     value, grad, columns = _column_objective(rho)
     x1, x2, x3 = np.random.default_rng(2).standard_normal((3, 28))
+    fresh = {}
     for x in (x1, x2, x3):
         (qa, _), (qb, _) = _columns(x, 3)
-        assert [q.tobytes() for q in columns(x)] == [qa.tobytes(), qb.tobytes()]
+        fresh[x.tobytes()] = [qa.tobytes(), qb.tobytes()]
+    computed, runs = [], []
+    real_kernel, real_columns = search_mod.evaluate_pair_columns, search_mod._columns
+
+    def kernel(rho, u2, v2):
+        computed.append((u2.base, v2.base))  # value passes its columns transposed
+        return real_kernel(rho, u2, v2)
+
+    def counted_columns(x, m):
+        runs.append(1)
+        return real_columns(x, m)
+
+    monkeypatch.setattr(search_mod, "evaluate_pair_columns", kernel)
+    monkeypatch.setattr(search_mod, "_columns", counted_columns)
+
+    def handed_out(x):
+        runs.clear()
+        got = columns(x)
+        assert [q.tobytes() for q in got] == fresh[x.tobytes()]
+        return got, len(runs)
+
+    for x in (x1, x2, x3):  # nothing evaluated yet
+        assert handed_out(x)[1] == 1
     value(x1)
     grad(x1)
-    at_x1 = columns(x1)
-    value(x2)
-    assert columns(x1)[0] is at_x1[0] and columns(x1)[1] is at_x1[1]
-    assert columns(x2)[0] is not at_x1[0]
-    copy = x2.copy()
-    assert [q.tobytes() for q in columns(copy)] == [q.tobytes() for q in columns(x2)]
+    got, gram_schmidt = handed_out(x1)
+    assert gram_schmidt == 0 and got[0] is computed[-1][0] and got[1] is computed[-1][1]
+    value(x2)  # as backtracking evaluates a trial point after an accepted one
+    got, gram_schmidt = handed_out(x2)
+    assert gram_schmidt == 0 and got[0] is computed[-1][0] and got[1] is computed[-1][1]
+    for x in (x1, x3, x2.copy()):
+        got, gram_schmidt = handed_out(x)
+        assert gram_schmidt == 1, x
+        assert not any(q is c for q in got for c in computed), x
 
 
 def test_cached_starts_are_read_only_and_searches_repeat():
@@ -858,6 +897,50 @@ def test_unproven_state_runs_every_start(monkeypatch, name):
     assert rep.ppt_min == ppt_min
 
 
+STOP_RULE_STATES = {
+    "horodecki33(3.5)": PROVEN_PPT["horodecki33(3.5)"],
+    "werner(1/3)": IN_BAND["werner(1/3)"],
+    "horodecki33(4.0)": IN_BAND["horodecki33(4.0)"],
+    **{name: make for name, (make, _) in NPT.items()},
+    "random_density(3x3, seed=0)": lambda: ec.random_density(BipartiteShape(3, 3), seed=0),
+}
+
+
+@pytest.mark.parametrize("name", STOP_RULE_STATES)
+def test_search_stops_only_through_f_stop(monkeypatch, name):
+    # The spectral-bound stop has one home, minimize's f_stop: every ascent
+    # gets f_stop = -max(B - BOUND_TOL, nextafter(VIOLATION_TOL)), whatever
+    # the state, and the search ends after a start exactly when that start
+    # returned REACHED_F_STOP. Otherwise every start runs: the zero start
+    # alone on a proven-PPT state, all restarts + 2 on any other.
+    import entcert.search as search_mod
+
+    cfg = SearchConfig(restarts=3, seed=5)
+    rho = STOP_RULE_STATES[name]()
+    vals = ppt_eigen(rho)[0]
+    bound = 4 * max(0.0, -float(vals[0])) * float(vals[-1])
+    f_stop = -max(bound - BOUND_TOL, math.nextafter(VIOLATION_TOL, math.inf))
+    calls = []
+    real_minimize = search_mod.minimize
+
+    def recording(fun, x0, jac, options):
+        res = real_minimize(fun, x0, jac, options)
+        calls.append((dict(options), res))
+        return res
+
+    monkeypatch.setattr(search_mod, "minimize", recording)
+    maximize_violation(rho, cfg)
+    assert [options for options, _ in calls] == [
+        {"maxiter": cfg.max_iters, "gtol": search_mod.GTOL, "f_stop": f_stop}
+    ] * len(calls)
+    stopped = [res.status is MinimizeStatus.REACHED_F_STOP for _, res in calls]
+    assert not any(stopped[:-1])
+    # the named NPT states certify at the bound; no other state here does
+    assert stopped[-1] == (name in NPT), name
+    if not stopped[-1]:
+        assert len(calls) == (1 if float(vals[0]) > PPT_TOL else cfg.restarts + 2), name
+
+
 SHAPES = [(m, n) for m in range(2, 6) for n in range(2, 6)]
 
 
@@ -921,7 +1004,7 @@ def test_eigenvector_start_holds_the_top_schmidt_terms(m, n):
         for phase in np.exp(1j * np.linspace(0.5, 6.0, 6)):
             turned = u2.copy()
             turned[:, 0] *= phase
-            assert evaluate_pair_grad(rho, turned, v2)[0].f <= f + 1e-15, (seed, phase)
+            assert evaluate_pair_columns(rho, turned, v2)[0].f <= f + 1e-15, (seed, phase)
 
 
 def test_gram_schmidt_columns_are_orthonormal():
@@ -1006,7 +1089,7 @@ def test_theta_read_off_round_trip(m, n):
                 phase = np.vdot(q, w) / 2
                 assert abs(abs(phase) - 1) <= 1e-12
                 assert np.abs(w - phase * q).max() <= 1e-12, (pair, q)
-            f = evaluate_pair_grad(rho, u2, v2)[0].f
+            f = evaluate_pair_columns(rho, u2, v2)[0].f
             assert abs(evaluate_pair(rho, pair, uv).f - f) <= 1e-12, pair
 
 

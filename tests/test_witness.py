@@ -22,7 +22,7 @@ from entcert import (
     valid_pairs,
     werner,
 )
-from entcert.witness import check_pair, evaluate_pair_grad, evaluate_pair_states
+from entcert.witness import check_pair, evaluate_pair_columns, evaluate_pair_states, pair_columns_grad
 from conftest import cached_basis
 
 I3 = np.eye(3, dtype=complex)
@@ -282,11 +282,11 @@ def test_evaluate_errors():
     for u2, v2 in ((np.stack([eye, eye]), eye), (eye, np.stack([eye, eye])),
                    (np.stack([eye] * 3), np.stack([eye] * 2))):
         with pytest.raises(ValueError, match="not a stack"):
-            evaluate_pair_grad(werner(0.5), u2, v2)
+            evaluate_pair_columns(werner(0.5), u2, v2)
     # so are columns of the wrong order, or more than two of them
     for u2, v2 in ((np.eye(3, 2), eye), (eye, np.eye(2, 3))):
         with pytest.raises(ValueError, match="one 2x2 and one 2x2 pair of columns"):
-            evaluate_pair_grad(werner(0.5), u2, v2)
+            evaluate_pair_columns(werner(0.5), u2, v2)
 
 
 def _bits(x) -> bytes:
@@ -338,7 +338,7 @@ def test_evaluate_pair_stack_matches_single_evaluations():
 
 
 def test_pair_grad_values_match_evaluate_pair():
-    """evaluate_pair_grad, given columns j, k of u and of v, gives the y
+    """evaluate_pair_columns, given columns j, k of u and of v, gives the y
     values evaluate_pair gives for u and v at the pair (j, k), bit for bit,
     on 2..5 x 2..5."""
     rng = np.random.default_rng(17)
@@ -349,25 +349,31 @@ def test_pair_grad_values_match_evaluate_pair():
             for uv in (LocalUnitaryPair.identity(sh), random_unitary_pair(sh, rng)):
                 for pair in valid_pairs(sh):
                     cols = [pair[0] - 1, pair[1] - 1]
-                    y, _, _ = evaluate_pair_grad(rho, uv.u[:, cols], uv.v[:, cols])
+                    y, _ = evaluate_pair_columns(rho, uv.u[:, cols], uv.v[:, cols])
                     ref = evaluate_pair(rho, pair, uv)
                     assert _bits([y.y1, y.y2, y.y3]) == _bits([ref.y1, ref.y2, ref.y3]), (sh, pair)
 
 
 def test_one_pair_kernel_serves_every_entry_point(monkeypatch):
-    """evaluate_pair, evaluate_pair_grad and evaluate_pair_states all run the
-    one column step and the one contraction: counting pass-throughs see one
-    call of each per evaluation (one column step per scan), and the results
-    keep their bits."""
+    """evaluate_pair, evaluate_pair_columns (with pair_columns_grad after
+    it) and evaluate_pair_states all run the one column step and the one
+    contraction: counting pass-throughs see one call of each per evaluation
+    (one column step per scan), and the results keep their bits."""
     import entcert.witness as witness_mod
 
     rng = np.random.default_rng(15)
     sh = BipartiteShape(3, 3)
     states = [ec.random_density(sh, seed=1500 + t) for t in range(3)]
     uv, pair = random_unitary_pair(sh, rng), (1, 3)
+    u2, v2 = uv.u[:, [0, 2]], uv.v[:, [0, 2]]
+
+    def columns_and_grad():
+        y, lw = evaluate_pair_columns(states[0], u2, v2)
+        return [y, lw, *pair_columns_grad(y, lw, u2, v2)]
+
     runs = (  # name, entry point, contractions it should run
         ("pair", lambda: [evaluate_pair(states[0], pair, uv)], 1),
-        ("grad", lambda: list(evaluate_pair_grad(states[0], uv.u[:, [0, 2]], uv.v[:, [0, 2]])), 1),
+        ("columns", columns_and_grad, 1),
         ("states", lambda: list(evaluate_pair_states(sh, pair, uv, iter(states))), len(states)),
     )
 
