@@ -55,7 +55,8 @@ P in SU(M) (e_1 -> e_j, e_2 -> e_k, one further column negated when the
 permutation is odd) moves columns j, k to columns 1, 2: pair (j, k) at
 (u, v) gives the same y values as pair (1, 2) at (uP_M, vP_N). So the
 (1, 2) search space holds every point of every other pair's. At the
-identity the pairs differ, so identity reports keep them all.
+identity the pairs differ, so identity reports keep them all, evaluated in
+one contraction over a stack of their identity columns.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .witness import (
     check_inequality,
     check_pair,
     classify_ppt,
+    evaluate_identity_pairs,
     evaluate_pair,
     evaluate_pair_columns,
     evaluate_pair_states,
@@ -635,9 +637,10 @@ def evaluate_at_identity(
     """Report for identity unitaries only: the given pair, or the best of
     every valid pair when pair is None (at the identity the pairs differ)."""
     pairs = valid_pairs(rho.shape) if pair is None else (check_pair(pair, rho.shape),)
-    uv = _identity(rho.shape)
-    # max() keeps the earliest of equal values, as the search merge does.
-    best_pair, y = max(((p, evaluate_pair(rho, p, uv)) for p in pairs), key=lambda py: py[1].f)
+    ys = evaluate_identity_pairs(rho, pairs)
+    # argmax keeps the earliest of equal values, as the search merge does.
+    i = int(np.argmax(ys.f))
+    best_pair, y = pairs[i], YValues(ys.y1[i], ys.y2[i], ys.y3[i])
     # The zero parameters build exactly these identities, so no exp is needed.
     zero = UnitaryParams.zero(rho.shape)
     return _report(rho, best_pair, zero, y, len(pairs), ppt_min_eigenvalue(rho))
@@ -799,10 +802,13 @@ def scan_1d(
 
     Rows are (family_param, p, f) with the family parameter as the outer
     loop. Per scan, the rotations for every p and the witness columns of
-    their stack are built once; per family parameter, the state is built
-    and contracted against those columns in one kernel call, so memory
-    grows with the number of p values, not with the grid. Pure arithmetic,
-    no randomness: identical inputs give identical tables.
+    their stack are built once; per family parameter, the family's
+    constructor builds and validates the state; per chunk of states
+    (:func:`evaluate_pair_states`), they are contracted against those
+    columns in one kernel call. The kernel's memory grows with the number
+    of p values, not with the grid; the rows returned grow with the grid.
+    Pure arithmetic, no randomness: identical inputs give identical tables,
+    whatever the chunk size.
     """
     if family not in SCAN_FAMILIES:
         raise ValueError(

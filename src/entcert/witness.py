@@ -17,7 +17,9 @@ step builds w, the columns |jj>, |jk>, |kj>, |kk> of u (x) v, from columns
 j, k of u and of v; it depends on the unitaries only. The contraction step
 forms w^dag rho w and reads off the y values; it is the only part that
 depends on the state. A scan over a family runs the column step once per
-scan and the contraction once per state (:func:`evaluate_pair_states`).
+scan and the contraction once per chunk of STATE_CHUNK states
+(:func:`evaluate_pair_states`), which stacks the chunk's matrices; the
+contraction's memory is one chunk's, however many states the scan has.
 The search optimises over the two columns themselves, so its
 :func:`evaluate_pair_columns` takes them as given and runs both steps, and
 :func:`pair_columns_grad` adds the gradient of f over the columns where the
@@ -26,10 +28,12 @@ optimizer asks for it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -41,6 +45,9 @@ from .states import DensityMatrix
 VIOLATION_TOL = 1e-9
 PPT_TOL = 1e-10
 IMAG_TOL = 1e-8
+# States per contraction in evaluate_pair_states: enough to fold a scan's
+# per-state products into a few, few enough to keep their memory small.
+STATE_CHUNK = 16
 
 
 class Verdict(str, Enum):
@@ -284,14 +291,39 @@ def _pair_columns(u2: np.ndarray, v2: np.ndarray):
     return w, wd.reshape(-1, order), wd.shape
 
 
-def _contract(mat: np.ndarray, w: np.ndarray, wd_rows: np.ndarray, lw_shape):
-    """The y values of one state matrix against prebuilt columns, and lw = w^dag rho."""
-    # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
-    lw = (wd_rows @ mat).reshape(lw_shape)
+def _contract(mats: np.ndarray, w: np.ndarray, wd_rows: np.ndarray, lw_shape, work=None):
+    """The y values of one state matrix against prebuilt columns, and lw = w^dag rho.
+
+    ``mats`` is one MN x MN matrix, or a chunk of C of them stacked on a
+    leading axis; the y values then carry that axis first, state by state,
+    each equal bit for bit to its own single contraction, and lw is None.
+    The chunk runs C first products, each the single state's, and one
+    second product per slice of the unitary stack, over the rows of every
+    state in the chunk. A chunk's products go into ``work``, a flat complex
+    array of at least 2 C wd_rows.size entries: chunk after chunk reuses
+    that memory instead of fresh pages, whose first touch costs more than
+    the products.
+    """
+    if mats.ndim == 2:
+        # b rounds exactly as w^dag rho w; the gradient reuses the left factor.
+        lw = (wd_rows @ mats).reshape(lw_shape)
+        b = lw @ w
+    else:
+        # A row of a product does not depend on the rows beside it, so the
+        # chunk's rows, stacked per slice, give each state's own bits.
+        stack, c, order = lw_shape[:-2], len(mats), lw_shape[-1]
+        n = c * wd_rows.size
+        lw = np.matmul(wd_rows, mats, out=work[:n].reshape(c, -1, order))
+        rows = work[n : 2 * n].reshape((*stack, c, 4, order))
+        rows[...] = np.moveaxis(lw.reshape((c, *lw_shape)), 0, -3)
+        # b, 4 x 4 per state and slice, takes the place of lw, now copied.
+        lw, b = None, work[: 4 * c * len(wd_rows)].reshape((*stack, 4 * c, 4))
+        np.matmul(rows.reshape((*stack, 4 * c, order)), w, out=b)
+        b = np.moveaxis(b.reshape((*stack, c, 4, 4)), -3, 0)
     # Transposed, the stack axes come last (reversed), so bt[t, s] holds
     # entry (s, t) of every slice: complex scalars for a single pair of
-    # unitaries, arrays that .T puts back in stack order otherwise.
-    bt = (lw @ w).T
+    # unitaries and state, arrays that .T puts back in stack order otherwise.
+    bt = b.T
     b00, b33 = bt[0, 0], bt[3, 3]
     return _real_values(((bt[2, 1] + bt[1, 2]).T, (b00 - b33).T, (b00 + b33).T)), lw
 
@@ -317,21 +349,53 @@ def evaluate_pair_states(
 ) -> Iterator[YValues]:
     """:func:`evaluate_pair` for each state of ``shape`` in turn, lazily.
 
-    The columns of u (x) v do not depend on the state, so they are built
-    (and the pair and u, v validated) once, here, and each state then costs
-    one contraction: two products and the y values, equal bit for bit to
-    its own :func:`evaluate_pair`. States are drawn one at a time, so memory
-    holds one state's products, not a stack over all states.
+    Per call, the columns of u (x) v, which do not depend on the state,
+    are built (and the pair and u, v validated) once. Per chunk, STATE_CHUNK
+    states are drawn, each checked against ``shape``, stacked and
+    contracted in one :func:`_contract` call; the y values then come out
+    one state at a time, each equal bit for bit to its own
+    :func:`evaluate_pair`. Nothing is drawn before the first value is asked
+    for, and never more than one chunk ahead of the values handed out. The
+    products' memory is one chunk's, whatever the number of states; only
+    what the caller keeps of the values grows with it.
     """
-    cols = _pair_columns(*_unitary_columns(shape, levels, uv))
+    w, wd_rows, lw_shape = _pair_columns(*_unitary_columns(shape, levels, uv))
 
     def each():
-        for rho in states:
-            if rho.shape != shape:
-                raise ValueError(f"state shape {rho.shape} does not match shape {shape}")
-            yield _contract(rho.mat, *cols)[0]
+        it = iter(states)
+        # One chunk's products, which every chunk reuses (see _contract).
+        work = np.empty(2 * STATE_CHUNK * wd_rows.size, dtype=complex)
+        while chunk := list(itertools.islice(it, STATE_CHUNK)):
+            for rho in chunk:
+                if rho.shape != shape:
+                    raise ValueError(f"state shape {rho.shape} does not match shape {shape}")
+            mats = np.stack([rho.mat for rho in chunk])
+            y = _contract(mats, w, wd_rows, lw_shape, work)[0]
+            yield from map(YValues, y.y1, y.y2, y.y3)
 
     return each()
+
+
+@cache
+def _identity_columns(shape: BipartiteShape, pairs: tuple[tuple[int, int], ...]):
+    """The column step over a stack of the identity's columns j, k on each
+    side, one slice per pair (j, k) of ``pairs``, each pair checked; built
+    once per shape and pairs, and read-only."""
+    idx = np.array([check_pair(pair, shape) for pair in pairs]) - 1
+    cols = _pair_columns(
+        *(np.eye(dim, dtype=complex)[idx].swapaxes(-1, -2) for dim in (shape.dim_a, shape.dim_b))
+    )
+    for a in cols[:2]:
+        a.setflags(write=False)
+    return cols
+
+
+def evaluate_identity_pairs(rho: DensityMatrix, pairs: tuple[tuple[int, int], ...]) -> YValues:
+    """:func:`evaluate_pair` at the identity for every pair of ``pairs``, in
+    one contraction: y1, y2 and y3 are arrays over the pairs, in their
+    order, each entry equal bit for bit to its own pair's evaluation.
+    ``pairs`` is a tuple of level pairs, each valid for rho's shape."""
+    return _contract(rho.mat, *_identity_columns(rho.shape, pairs))[0]
 
 
 def evaluate_pair_columns(

@@ -61,6 +61,12 @@ COMMANDS = [
     "make-state iso23 --a -0.1 --out {tmp}/bad.dm",
     "make-state horodecki33 --alpha 1.5 --out {tmp}/bad.dm",
     *(f"scan {family} --out {{tmp}}/{family}.csv" for family in ("werner", "iso23", "horodecki33")),
+    # Grids whose parameter count falls on, just past or short of a chunk
+    # edge of the scan's contraction, and a single-parameter grid.
+    "scan horodecki33 --pair 1 3 --param-steps 37 --p-steps 53 --out {tmp}/h37.csv",
+    "scan iso23 --param-steps 17 --p-steps 2 --out {tmp}/i17.csv",
+    "scan werner --param-steps 1 --out {tmp}/w1.csv",
+    "scan werner --param-steps 16 --p-steps 11 --out {tmp}/w16.csv",
 ]
 
 

@@ -46,6 +46,7 @@ from entcert.witness import (
     PPT_TOL,
     VIOLATION_TOL,
     PptVerdict,
+    evaluate_identity_pairs,
     evaluate_pair,
     evaluate_pair_columns,
     ppt_eigen,
@@ -157,6 +158,47 @@ def test_evaluate_at_identity_picks_best_pair():
     assert rep.best_pair == (2, 3)
     assert abs(rep.best_f - 1.0) < 1e-12
     assert rep.evaluations == 3
+
+
+def test_evaluate_at_identity_is_one_stacked_call(monkeypatch):
+    """Every pair's identity y values come from one contraction, each with
+    the bits of its own evaluate_pair; the best f wins, the earliest pair
+    on ties (the maximally mixed state ties every pair)."""
+    import entcert.witness as witness_mod
+
+    def bits(y):
+        return np.array([y.y1, y.y2, y.y3, y.f]).tobytes()
+
+    states = [ec.random_density(BipartiteShape(m, n), seed=10 * m + n)
+              for m in range(2, 6) for n in range(2, 6)]
+    states += [_singlet_on_levels_2_3(),
+               ec.DensityMatrix(BipartiteShape(4, 3), np.eye(12, dtype=complex) / 12)]
+    want = {}
+    for t, rho in enumerate(states):
+        eye = LocalUnitaryPair.identity(rho.shape)
+        ys = [(p, evaluate_pair(rho, p, eye)) for p in valid_pairs(rho.shape)]
+        want[t] = [max(ys, key=lambda py: py[1].f)] + ys
+    calls = []
+    real = witness_mod._contract
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(witness_mod, "_contract", counting)
+    for t, rho in enumerate(states):
+        (best, y), *each = want[t]
+        calls.clear()
+        rep = evaluate_at_identity(rho)
+        assert len(calls) == 1
+        assert rep.best_pair == best and bits(rep.y_values) == bits(y)
+        assert rep.evaluations == len(each)
+        for pair, y in each:
+            rep = evaluate_at_identity(rho, pair)
+            assert rep.best_pair == pair and bits(rep.y_values) == bits(y)
+    assert evaluate_at_identity(states[-1]).best_pair == (1, 2)
+    with pytest.raises(ValueError, match="not valid"):
+        evaluate_identity_pairs(ec.werner(0.5), ((1, 3),))
 
 
 def test_maximize_finds_rotation_for_iso23():

@@ -22,7 +22,14 @@ from entcert import (
     valid_pairs,
     werner,
 )
-from entcert.witness import check_pair, evaluate_pair_columns, evaluate_pair_states, pair_columns_grad
+from entcert.witness import (
+    STATE_CHUNK,
+    check_pair,
+    evaluate_identity_pairs,
+    evaluate_pair_columns,
+    evaluate_pair_states,
+    pair_columns_grad,
+)
 from conftest import cached_basis
 
 I3 = np.eye(3, dtype=complex)
@@ -356,14 +363,17 @@ def test_pair_grad_values_match_evaluate_pair():
 
 def test_one_pair_kernel_serves_every_entry_point(monkeypatch):
     """evaluate_pair, evaluate_pair_columns (with pair_columns_grad after
-    it) and evaluate_pair_states all run the one column step and the one
-    contraction: counting pass-throughs see one call of each per evaluation
-    (one column step per scan), and the results keep their bits."""
+    it), evaluate_identity_pairs and evaluate_pair_states all run the one
+    column step and the one contraction: counting pass-throughs see one
+    call of each per evaluation (the identity's column step when its cache
+    is cold), and, over a sequence of states, one column step and one
+    contraction per chunk of STATE_CHUNK states; the results keep their
+    bits."""
     import entcert.witness as witness_mod
 
     rng = np.random.default_rng(15)
     sh = BipartiteShape(3, 3)
-    states = [ec.random_density(sh, seed=1500 + t) for t in range(3)]
+    states = [ec.random_density(sh, seed=1500 + t) for t in range(STATE_CHUNK + 3)]
     uv, pair = random_unitary_pair(sh, rng), (1, 3)
     u2, v2 = uv.u[:, [0, 2]], uv.v[:, [0, 2]]
 
@@ -371,10 +381,15 @@ def test_one_pair_kernel_serves_every_entry_point(monkeypatch):
         y, lw = evaluate_pair_columns(states[0], u2, v2)
         return [y, lw, *pair_columns_grad(y, lw, u2, v2)]
 
+    def identity_pairs():
+        witness_mod._identity_columns.cache_clear()
+        return [evaluate_identity_pairs(states[0], valid_pairs(sh))]
+
     runs = (  # name, entry point, contractions it should run
         ("pair", lambda: [evaluate_pair(states[0], pair, uv)], 1),
         ("columns", columns_and_grad, 1),
-        ("states", lambda: list(evaluate_pair_states(sh, pair, uv, iter(states))), len(states)),
+        ("identity", identity_pairs, 1),
+        ("states", lambda: list(evaluate_pair_states(sh, pair, uv, iter(states))), 2),
     )
 
     def bits(results):
@@ -442,17 +457,45 @@ def test_pair_states_checks_and_laziness():
             evaluate_pair_states(sh22, pair, uv, iter(()))
     with pytest.raises(ValueError, match="state shape"):
         list(evaluate_pair_states(sh22, (1, 2), eye, [werner(0.5), ec.iso23(0.5)]))
+    # nothing is drawn before the first value is asked for, then one chunk
+    # at a time: never more than one chunk ahead of the values handed out
+    params = np.linspace(0.0, 1.0, 2 * STATE_CHUNK + 1).tolist()
     drawn = []
 
     def states():
-        for a in (0.2, 0.6):
+        for a in params:
             drawn.append(a)
             yield werner(a)
 
     ys = evaluate_pair_states(sh22, (1, 2), eye, states())
     assert drawn == []
-    assert next(ys) == evaluate_pair(werner(0.2), (1, 2), eye)
-    assert drawn == [0.2]
+    for i, a in enumerate(params):
+        assert next(ys) == evaluate_pair(werner(a), (1, 2), eye)
+        assert len(drawn) == min(len(params), (i // STATE_CHUNK + 1) * STATE_CHUNK)
+    assert next(ys, None) is None
+
+
+def test_pair_states_memory_is_bounded_by_the_chunk():
+    """The products are one chunk's: consuming the values over 1,000 states
+    peaks no higher than over 100, within a small slack."""
+    import tracemalloc
+
+    sh = BipartiteShape(3, 3)
+    p = np.linspace(0.0, np.pi, 101)
+    uv = LocalUnitaryPair(ec.rotation_u(p, 3), np.eye(3, dtype=complex))
+
+    def peak(count):
+        states = (ec.horodecki33(a) for a in np.linspace(2.0, 5.0, count))
+        tracemalloc.start()
+        try:
+            for _ in evaluate_pair_states(sh, (1, 2), uv, states):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(1000)
+    assert large <= small + 16 * 1024, (small, large)
 
 
 def test_evaluate_pair_matches_reference_triples():
