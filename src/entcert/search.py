@@ -11,24 +11,24 @@ the search optimises those columns directly: free complex matrices A
 (M x 2) and B (N x 2), which Gram-Schmidt maps to orthonormal columns.
 Every orthonormal pair of columns is columns j, k of some u in SU(M), so
 nothing is lost. Maximization is multi-start L-BFGS with the analytic
-gradient of the violation over A and B, merged by best violation with ties
-broken toward the earliest start. The starts, in order: the identity's
-columns; the eigenvector start, read in closed form off the lowest
-eigenvector of the partial transpose rho^Gamma; then seeded random starts,
-Gram-Schmidt of complex Gaussian A and B, so Haar random (Mezzadri,
-Notices AMS 54 (2007) 592). The winning columns are turned back into
+gradient of the violation over A and B; the objective keeps the best
+point it evaluates over all starts, the earliest on ties. The starts, in
+order: the identity's columns; the eigenvector start, read in closed form
+off the lowest eigenvector of the partial transpose rho^Gamma; then seeded
+random starts, Gram-Schmidt of complex Gaussian A and B, so Haar random
+(Mezzadri, Notices AMS 54 (2007) 592). The best point's columns, as the
+objective computed them (no Gram-Schmidt runs twice), are turned back into
 theta: each side is completed to a unitary by Gram-Schmidt of the
 identity's other columns, and both sides' logs come from one stacked
 eigen-solve. The certificate is evaluated at the unitaries rebuilt from
-theta; a zero start that wins without moving reports theta = 0 at the
-identity. The zero start's variables and the identity pair are built once
-per shape and shared read-only. The optimizer, :func:`minimize`, is this
-module's own numpy L-BFGS with a backtracking line search, so a search
-needs numpy only; the objective computes the gradient only at the points
-:func:`minimize` asks it for, the start and each accepted step, but not at
-a point that reaches the spectral bound (below). The winning columns are
-the ones the objective computed at the point :func:`minimize` returned, so
-no Gram-Schmidt runs twice.
+theta; when the best point is the first evaluated, the zero start's, it
+reports theta = 0 at the identity. The zero start's variables and the
+identity pair are built once per shape and shared read-only. The optimizer,
+:func:`minimize`, is this module's own numpy L-BFGS with a backtracking
+line search, so a search needs numpy only; the objective computes the
+gradient only at the points :func:`minimize` asks it for, the start and
+each accepted step, but not at a point that reaches the spectral bound
+(below).
 
 With a = <x|rho^Gamma|x>, b = <y|rho^Gamma|y> and c = <x|rho^Gamma|y> for
 the orthonormal product vectors x = u_j (x) conj(v_j) and
@@ -269,7 +269,7 @@ class SearchConfig:
     restarts: seeded Haar random starts after the zero and eigenvector
         starts, an integer. They run only while no start has certified and
         reached the spectral bound (see :func:`maximize_violation`).
-    max_iters: L-BFGS iterations per start; a fractional cap stops at its ceiling.
+    max_iters: L-BFGS iterations per start, an integer.
     seed: root of the per-restart random substreams, an integer.
     pair: the level pair (j, k) to search, integers with 1 <= j < k; None
         means (1, 2), which reaches every other pair's columns through a
@@ -283,16 +283,13 @@ class SearchConfig:
 
     def __post_init__(self):
         # bool is an Integral, but True in an integer slot is a mistake
-        for name in ("restarts", "seed"):
+        for name in ("restarts", "max_iters", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if isinstance(self.max_iters, bool) or not (
-            isinstance(self.max_iters, numbers.Real) and self.max_iters >= 1  # NaN fails too
-        ):
-            raise ValueError(f"max_iters must be a real number >= 1, got {self.max_iters!r}")
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pair is not None:  # kept as check_pair returns it: a tuple of Python ints
@@ -433,54 +430,53 @@ def _columns(x: np.ndarray, m: int):
 
 
 def _column_objective(rho: DensityMatrix):
-    """The search's objective as three functions of x: ``value(x)``, the
-    violation at x; ``grad(x)``, its gradient over x, at the x that
-    ``value`` last ran at; and ``columns(x)``, the orthonormal columns
-    (qa, qb) at x, each side's two columns as rows.
+    """The search's objective and the one owner of what it has evaluated:
+    ``(neg_f, neg_grad, seen)``. ``neg_f(x)`` is -f at x, ``neg_grad(x)``
+    its gradient over x at the x that ``neg_f`` last ran at, the pair that
+    :func:`minimize` takes, and ``seen()`` gives (evaluations, best): the
+    number of ``neg_f`` calls, and (f, qa, qb, n) at the largest f so far,
+    the earliest such point on ties, with its orthonormal columns (each
+    side's two as rows; the arrays f was computed from, not copies) and its
+    evaluation number n, from 1. best is None before the first call.
 
     :func:`_columns` maps x to two orthonormal columns on each side, which
     stand for columns j, k of u and of v; :func:`evaluate_pair_columns`
-    gives f there and keeps the products the gradient reads, so ``grad``
-    runs only the gradient's own tail: :func:`pair_columns_grad` for the
-    column cotangents and :func:`_gram_schmidt_pullback` to carry them back
-    to A and B. A complex entry's cotangent g contributes Re(conj(g) dz), so
-    its real and imaginary parts are the gradient over the entry's real and
-    imaginary parts, in the order x holds them. The gradient is a
-    C-contiguous float64 vector: a strided one would round ``g @ d`` in the
-    optimizer differently. ``evaluate_pair_columns`` and
-    ``pair_columns_grad`` are looked up in this module on every call, where
-    callers can wrap them.
-
-    ``value`` keeps one point: ``columns`` hands out the columns it
-    computed, with no second Gram-Schmidt, when x is the very array
-    ``value`` last ran at. That is the point :func:`minimize` returns for
-    every status but LINE_SEARCH_FAILED, whose backtracking evaluated
-    rejected points after it. At any other x ``columns`` runs
-    :func:`_columns`, which gives the same bits.
+    gives f there and keeps the products the gradient reads, so
+    ``neg_grad`` runs only the gradient's own tail:
+    :func:`pair_columns_grad` for the column cotangents and
+    :func:`_gram_schmidt_pullback` to carry them back to A and B. A complex
+    entry's cotangent g contributes Re(conj(g) dz), so its real and
+    imaginary parts are the gradient over the entry's real and imaginary
+    parts, in the order x holds them. The gradient is a C-contiguous
+    float64 vector: a strided one would round ``g @ d`` in the optimizer
+    differently. ``evaluate_pair_columns`` and ``pair_columns_grad`` are
+    looked up in this module on every call, where callers can wrap them.
     """
     m = rho.shape.dim_a
-    kept = None  # (x, y, lw, qa, ra, qb, rb) where value last ran
+    kept = None  # (y, lw, qa, ra, qb, rb) where neg_f last ran
+    evaluations, best = 0, None
 
-    def value(x) -> float:
-        nonlocal kept
+    def neg_f(x) -> float:
+        nonlocal kept, evaluations, best
         (qa, ra), (qb, rb) = _columns(x, m)
         y, lw = evaluate_pair_columns(rho, qa.T, qb.T)
-        kept = x, y, lw, qa, ra, qb, rb
-        return y.f
+        kept = y, lw, qa, ra, qb, rb
+        evaluations += 1
+        f = y.f
+        if best is None or f > best[0]:
+            best = f, qa, qb, evaluations
+        return -f
 
-    def grad(x) -> np.ndarray:
-        _, y, lw, qa, ra, qb, rb = kept
+    def neg_grad(x) -> np.ndarray:
+        y, lw, qa, ra, qb, rb = kept
         gu, gv = pair_columns_grad(y, lw, qa.T, qb.T)
         ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
-        return np.concatenate((ga, gb), axis=1).view(float).ravel()
+        return -np.concatenate((ga, gb), axis=1).view(float).ravel()
 
-    def columns(x):
-        if kept is not None and kept[0] is x:
-            return kept[3], kept[5]
-        (qa, _), (qb, _) = _columns(x, m)
-        return qa, qb
+    def seen():
+        return evaluations, best
 
-    return value, grad, columns
+    return neg_f, neg_grad, seen
 
 
 def _pack(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -661,19 +657,18 @@ def maximize_violation(
     cfg.restarts Haar random starts (:func:`_columns` of a standard normal
     x, substream seeded by the restart index r = 1, 2, ...), each capped at
     cfg.max_iters iterations with gradient max-norm tolerance GTOL. The
-    best point over all runs, the earliest on ties, is read off as theta
-    (:func:`_theta`), and the certificate is evaluated at the unitaries
+    best point the objective evaluated over all runs, the earliest on ties,
+    is read off as theta (:func:`_theta`) from the columns the objective
+    computed there, and the certificate is evaluated at the unitaries
     :func:`build_unitaries` rebuilds from it, so the reported violation
-    never depends on trusting the optimizer's bookkeeping. The read-off
-    takes the columns the objective computed at the point :func:`minimize`
-    returned (``columns`` of :func:`_column_objective`), the bits
-    :func:`_columns` gives there. When that point is the zero start's,
-    unmoved (no iteration accepted), theta is zero and the certificate is
-    evaluated at the identity, the same bits without the read-off or the
-    exponentials. ``evaluations`` counts objective evaluations of f; the
-    gradient's tail runs only where :func:`minimize` asks for it, once per
-    start and once per accepted step, except at a point that ends its
-    start at the spectral bound.
+    never depends on trusting the optimizer's bookkeeping. When that point
+    is evaluation 1, the zero start's x0 (:func:`minimize` evaluates x0
+    first), theta is zero and the certificate is evaluated at the
+    identity, the same bits without the read-off or the exponentials.
+    ``evaluations`` counts objective evaluations of f; the gradient's tail
+    runs only where :func:`minimize` asks for it, once per start and once
+    per accepted step, except at a point that ends its start at the
+    spectral bound.
 
     One eigen-solve of the partial transpose (:func:`ppt_eigen`) decides
     how many starts run, and the report reuses its minimum eigenvalue:
@@ -708,27 +703,14 @@ def maximize_violation(
     # never above VIOLATION_TOL.
     proven_ppt = ppt_min > PPT_TOL
     bound = 4 * max(0.0, -ppt_min) * float(vals[-1])
-    value, grad, columns = _column_objective(rho)
-    evaluations = 0
-    best = None  # (f, (qa, qb)), the columns None while the zero start has not moved
-
-    # minimize asks for the gradient only at the point whose f it has just
-    # asked for, so neg_grad reads what neg_f kept there, and only the
-    # points minimize accepts short of the stop pay for a gradient.
-    def neg_f(x) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return -value(x)
-
-    def neg_grad(x) -> np.ndarray:
-        return -grad(x)
+    neg_f, neg_grad, seen = _column_objective(rho)
 
     # Each start is drawn just before its ascent, so memory does not grow
     # with cfg.restarts. Restart r draws from spawn key (0, r) (the 0 is left
     # from a loop over pairs) and is orthonormalised first: ascending from
     # the raw draw took 11 % more evaluations. The zero start, the identity's
     # columns bit for bit, stays first, so a state whose identity columns
-    # already reach the bound keeps theta = 0 (ties go to the earliest start).
+    # already reach the bound keeps theta = 0 (ties go to the earliest point).
     def starts():
         yield _zero_start(shape, pair)
         if proven_ppt:
@@ -758,20 +740,13 @@ def maximize_violation(
     options = {"maxiter": cfg.max_iters, "gtol": GTOL, "f_stop": f_stop}
     for x0 in starts():
         res = minimize(neg_f, x0, jac=neg_grad, options=options)
-        cand = -float(res.fun)
-        # columns(res.x) reads what the objective kept at res.x, so it runs
-        # before the next start evaluates anything
-        if best is None:  # the zero start; with nit 0 it is the identity's columns
-            best = (cand, columns(res.x) if res.nit else None)
-        elif cand > best[0]:
-            best = (cand, columns(res.x))
         if res.status is MinimizeStatus.REACHED_F_STOP:
             break
 
-    if best[1] is None:  # theta = 0 exactly, and exp(0) is the identity
+    evaluations, (_, qa, qb, n) = seen()
+    if n == 1:  # the zero start's x0: theta = 0 exactly, and exp(0) is the identity
         params, uv = UnitaryParams.zero(shape), _identity(shape)
     else:
-        qa, qb = best[1]
         params = _theta(qa.T, qb.T, pair)
         uv = build_unitaries(params, shape)
     y = evaluate_pair(rho, pair, uv)
@@ -803,11 +778,12 @@ def scan_1d(
     Rows are (family_param, p, f) with the family parameter as the outer
     loop. Per scan, the rotations for every p and the witness columns of
     their stack are built once; per family parameter, the family's
-    constructor builds and validates the state; per chunk of states
-    (:func:`evaluate_pair_states`), they are contracted against those
-    columns in one kernel call. The kernel's memory grows with the number
-    of p values, not with the grid; the rows returned grow with the grid.
-    Pure arithmetic, no randomness: identical inputs give identical tables,
+    constructor builds and validates the state; then
+    :func:`evaluate_pair_states` stacks the states and contracts them a
+    chunk at a time against those columns. The products' memory grows with
+    the number of p values, not with the grid; the stacked states grow with
+    the family parameters, the rows returned with the grid. Pure
+    arithmetic, no randomness: identical inputs give identical tables,
     whatever the chunk size.
     """
     if family not in SCAN_FAMILIES:
@@ -819,8 +795,5 @@ def scan_1d(
     p_values = _grid_axis(p_values, "p_values")
     p_list = p_values.tolist()
     uv = LocalUnitaryPair(rotation_u(p_values, shape.dim_a), np.eye(shape.dim_b, dtype=complex))
-    ys = evaluate_pair_states(shape, pair, uv, map(fn, a_list))
-    rows = []
-    for a, y in zip(a_list, ys):
-        rows += zip([a] * len(p_list), p_list, y.f.tolist())
-    return rows
+    f = evaluate_pair_states(shape, pair, uv, [fn(a) for a in a_list]).f
+    return list(zip([a for a in a_list for _ in p_list], p_list * len(a_list), f.ravel().tolist()))

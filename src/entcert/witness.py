@@ -17,9 +17,9 @@ step builds w, the columns |jj>, |jk>, |kj>, |kk> of u (x) v, from columns
 j, k of u and of v; it depends on the unitaries only. The contraction step
 forms w^dag rho w and reads off the y values; it is the only part that
 depends on the state. A scan over a family runs the column step once per
-scan and the contraction once per chunk of STATE_CHUNK states
-(:func:`evaluate_pair_states`), which stacks the chunk's matrices; the
-contraction's memory is one chunk's, however many states the scan has.
+scan, stacks its states once and runs the contraction once per chunk of
+STATE_CHUNK of them (:func:`evaluate_pair_states`); the contraction's
+memory is one chunk's, however many states the scan has.
 The search optimises over the two columns themselves, so its
 :func:`evaluate_pair_columns` takes them as given and runs both steps, and
 :func:`pair_columns_grad` adds the gradient of f over the columns where the
@@ -28,13 +28,12 @@ optimizer asks for it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -346,34 +345,31 @@ def evaluate_pair(rho: DensityMatrix, levels: tuple[int, int], uv: LocalUnitaryP
 
 def evaluate_pair_states(
     shape: BipartiteShape, levels: tuple[int, int], uv: LocalUnitaryPair, states
-) -> Iterator[YValues]:
-    """:func:`evaluate_pair` for each state of ``shape`` in turn, lazily.
+) -> YValues:
+    """:func:`evaluate_pair` for every state of the sequence ``states``, all
+    of ``shape``: y1, y2 and y3 are arrays with the states axis first, then
+    the unitaries' stack axes, each entry equal bit for bit to its own
+    :func:`evaluate_pair`.
 
-    Per call, the columns of u (x) v, which do not depend on the state,
-    are built (and the pair and u, v validated) once. Per chunk, STATE_CHUNK
-    states are drawn, each checked against ``shape``, stacked and
-    contracted in one :func:`_contract` call; the y values then come out
-    one state at a time, each equal bit for bit to its own
-    :func:`evaluate_pair`. Nothing is drawn before the first value is asked
-    for, and never more than one chunk ahead of the values handed out. The
-    products' memory is one chunk's, whatever the number of states; only
-    what the caller keeps of the values grows with it.
+    The columns of u (x) v, which do not depend on the state, are built
+    (and the pair and u, v validated) once. Each state is checked against
+    ``shape`` and the states are stacked once; then STATE_CHUNK of them at
+    a time are contracted in one :func:`_contract` call, every chunk in
+    the same workspace. The products' memory is one chunk's; the stacked
+    states and the y values grow with the number of states.
     """
     w, wd_rows, lw_shape = _pair_columns(*_unitary_columns(shape, levels, uv))
-
-    def each():
-        it = iter(states)
-        # One chunk's products, which every chunk reuses (see _contract).
-        work = np.empty(2 * STATE_CHUNK * wd_rows.size, dtype=complex)
-        while chunk := list(itertools.islice(it, STATE_CHUNK)):
-            for rho in chunk:
-                if rho.shape != shape:
-                    raise ValueError(f"state shape {rho.shape} does not match shape {shape}")
-            mats = np.stack([rho.mat for rho in chunk])
-            y = _contract(mats, w, wd_rows, lw_shape, work)[0]
-            yield from map(YValues, y.y1, y.y2, y.y3)
-
-    return each()
+    mats = np.empty((len(states), shape.order, shape.order), dtype=complex)
+    for mat, rho in zip(mats, states):
+        if rho.shape != shape:
+            raise ValueError(f"state shape {rho.shape} does not match shape {shape}")
+        mat[...] = rho.mat
+    ys = np.empty((3, len(mats), *lw_shape[:-2]))
+    work = np.empty(2 * STATE_CHUNK * wd_rows.size, dtype=complex)
+    for i in range(0, len(mats), STATE_CHUNK):
+        y = _contract(mats[i : i + STATE_CHUNK], w, wd_rows, lw_shape, work)[0]
+        ys[:, i : i + STATE_CHUNK] = y.y1, y.y2, y.y3
+    return YValues(*ys)
 
 
 @cache
@@ -470,10 +466,10 @@ def classify_ppt(min_eig: float, shape: BipartiteShape) -> PptVerdict:
 
     Negative (below -PPT_TOL) means entangled. Non-negative means PPT, which
     proves separability only in M*N <= 6; larger systems stay inconclusive
-    because of bound entanglement.
+    because of bound entanglement. A NaN proves nothing: inconclusive.
     """
     if min_eig < -PPT_TOL:
         return PptVerdict.ENTANGLED
-    if shape.order <= 6:
+    if min_eig >= -PPT_TOL and shape.order <= 6:
         return PptVerdict.SEPARABLE
     return PptVerdict.INCONCLUSIVE

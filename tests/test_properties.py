@@ -138,7 +138,7 @@ def test_search_invariant_under_local_unitaries(seed, name):
 def _eigenvector_start_f(rho):
     """f at the search's eigenvector start, and ppt_eigen's eigenvalues."""
     vals, vecs = ppt_eigen(rho)
-    return _column_objective(rho)[0](_eigenvector_start(rho, vecs[:, 0])), vals
+    return -_column_objective(rho)[0](_eigenvector_start(rho, vecs[:, 0])), vals
 
 
 @settings(max_examples=100, deadline=None)

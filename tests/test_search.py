@@ -110,11 +110,12 @@ def test_search_config_validation():
                 {"pair": (0, 1)}, {"pair": (1, 1)}, {"pair": (1.7, 3)}, {"pair": (1, 2.9)},
                 {"pair": 3}, {"pair": (1, 2, 3)}, {"restarts": 2.5}, {"seed": 1.5},
                 {"max_iters": float("nan")}, {"max_iters": "400"}, {"max_iters": None},
-                {"restarts": True}, {"seed": False}, {"max_iters": True}, {"pair": (True, 2)}):
+                {"max_iters": 2.5}, {"restarts": True}, {"seed": False}, {"max_iters": True},
+                {"pair": (True, 2)}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
-    # numpy integers are integers, bools are not; a fractional iteration cap stays valid
-    SearchConfig(restarts=np.int64(2), seed=np.int64(1), max_iters=2.5)
+    # numpy integers are integers, bools are not
+    SearchConfig(restarts=np.int64(2), seed=np.int64(1), max_iters=np.int64(3))
     # the pair is stored as check_pair returns it: a hashable tuple of Python ints
     for pair in ([1, 2], (np.int64(1), np.int64(2))):
         cfg = SearchConfig(pair=pair)
@@ -594,16 +595,20 @@ def test_jac_runs_only_at_the_point_fun_just_ran(monkeypatch):
 def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
     # A stand-in optimizer that stops at its start: memory must not grow
     # with the number of restarts, and the starts are the zero start, the
-    # eigenvector start and then the seeded draws. The stand-in's f = 0
-    # never certifies, so no start ends the search early.
+    # eigenvector start and then the seeded draws. The stand-in never
+    # reports REACHED_F_STOP, so no start ends the search early. It
+    # evaluates the zero start's x0, as minimize evaluates every x0 first,
+    # so the search has a best point; the others it leaves unevaluated.
     import tracemalloc
 
     import entcert.search as search_mod
 
     seen = []
+    runs = itertools.count()
 
     def stand_in(fun, x0, jac, options):
-        return MinimizeResult(x0, 0.0, 0, MinimizeStatus.CONVERGED)
+        f = fun(x0) if next(runs) == 0 else 0.0
+        return MinimizeResult(x0, f, 0, MinimizeStatus.CONVERGED)
 
     def recording(fun, x0, jac, options):
         seen.append(x0)
@@ -633,6 +638,7 @@ def test_search_draws_each_start_just_before_its_ascent(monkeypatch):
             assert np.abs(q.conj() @ q.T - np.eye(2)).max() <= 1e-14
 
     monkeypatch.setattr(search_mod, "minimize", stand_in)
+    runs = itertools.count()
     tracemalloc.start()
     try:
         maximize_violation(rho, SearchConfig(restarts=20000))
@@ -667,9 +673,9 @@ COLUMN_HAND_OFF = {
 
 @pytest.mark.parametrize("name", COLUMN_HAND_OFF)
 def test_theta_reads_the_columns_of_the_point_minimize_returned(monkeypatch, name):
-    # The winner's columns come from what the objective kept at the point
-    # minimize returned, not from a second Gram-Schmidt: they must be the
-    # bits _columns gives there, whichever start won and however it ended.
+    # On each of these searches the best point evaluated is the point the
+    # winning start returned, so theta is read off the bits _columns gives
+    # there, once, whichever start won and however it ended.
     import entcert.search as search_mod
 
     make, cfg, no_tolerances, status = COLUMN_HAND_OFF[name]
@@ -704,53 +710,51 @@ def test_theta_reads_the_columns_of_the_point_minimize_returned(monkeypatch, nam
     assert rep.best_f == objective(rho, rep.best_pair, rep.best_params)
 
 
-def test_column_objective_hands_out_the_columns_value_computed(monkeypatch):
-    # The objective keeps one point, the x value last ran at: columns(x)
-    # hands out the very arrays value computed there, with no Gram-Schmidt,
-    # and at any other point, an earlier grad point or an equal copy
-    # included, the bits of a fresh Gram-Schmidt.
+def test_theta_reads_the_first_best_evaluated_point(monkeypatch):
+    # The objective keeps the best point it has evaluated, the earliest on
+    # ties: theta is read off the very columns f was computed from there,
+    # uncopied, or is exactly 0, with no read-off, when that point is
+    # evaluation 1, the zero start's x0. Over every COLUMN_HAND_OFF search
+    # and werner(1), whose zero start reaches the spectral bound at x0.
     import entcert.search as search_mod
 
-    rho = ec.random_density(BipartiteShape(3, 4), seed=1)
-    value, grad, columns = _column_objective(rho)
-    x1, x2, x3 = np.random.default_rng(2).standard_normal((3, 28))
-    fresh = {}
-    for x in (x1, x2, x3):
-        (qa, _), (qb, _) = _columns(x, 3)
-        fresh[x.tobytes()] = [qa.tobytes(), qb.tobytes()]
-    computed, runs = [], []
-    real_kernel, real_columns = search_mod.evaluate_pair_columns, search_mod._columns
+    cases = {**COLUMN_HAND_OFF,
+             "zero start, stopped at x0": (lambda: ec.werner(1.0), SearchConfig(), False)}
+    real_kernel, real_theta = search_mod.evaluate_pair_columns, search_mod._theta
+    for name, (make, cfg, no_tolerances, *_) in cases.items():
+        evaluated, read = [], []
 
-    def kernel(rho, u2, v2):
-        computed.append((u2.base, v2.base))  # value passes its columns transposed
-        return real_kernel(rho, u2, v2)
+        def kernel(rho, u2, v2):
+            y, lw = real_kernel(rho, u2, v2)
+            evaluated.append((y.f, u2.base, v2.base, u2.tobytes(), v2.tobytes()))
+            return y, lw
 
-    def counted_columns(x, m):
-        runs.append(1)
-        return real_columns(x, m)
+        def theta(u2, v2, levels):
+            read.append((u2, v2))
+            return real_theta(u2, v2, levels)
 
-    monkeypatch.setattr(search_mod, "evaluate_pair_columns", kernel)
-    monkeypatch.setattr(search_mod, "_columns", counted_columns)
-
-    def handed_out(x):
-        runs.clear()
-        got = columns(x)
-        assert [q.tobytes() for q in got] == fresh[x.tobytes()]
-        return got, len(runs)
-
-    for x in (x1, x2, x3):  # nothing evaluated yet
-        assert handed_out(x)[1] == 1
-    value(x1)
-    grad(x1)
-    got, gram_schmidt = handed_out(x1)
-    assert gram_schmidt == 0 and got[0] is computed[-1][0] and got[1] is computed[-1][1]
-    value(x2)  # as backtracking evaluates a trial point after an accepted one
-    got, gram_schmidt = handed_out(x2)
-    assert gram_schmidt == 0 and got[0] is computed[-1][0] and got[1] is computed[-1][1]
-    for x in (x1, x3, x2.copy()):
-        got, gram_schmidt = handed_out(x)
-        assert gram_schmidt == 1, x
-        assert not any(q is c for q in got for c in computed), x
+        with monkeypatch.context() as mp:
+            mp.setattr(search_mod, "evaluate_pair_columns", kernel)
+            mp.setattr(search_mod, "_theta", theta)
+            if no_tolerances:
+                mp.setattr(search_mod, "GTOL", 0.0)
+                mp.setattr(search_mod, "F_RTOL", 0.0)
+            rho = make()
+            rep = maximize_violation(rho, cfg)
+        fs = [f for f, *_ in evaluated]
+        first_best = fs.index(max(fs))
+        assert rep.evaluations == len(evaluated), name
+        if first_best == 0:
+            assert read == [] and name.endswith("at x0"), name
+            assert set(rep.best_params.theta_a) == set(rep.best_params.theta_b) == {0.0}
+            assert rep.y_values == evaluate_pair(rho, rep.best_pair, LocalUnitaryPair.identity(rho.shape))
+            continue
+        _, qa, qb, qa_bits, qb_bits = evaluated[first_best]
+        assert len(read) == 1, name
+        (u2, v2), = read
+        assert u2.base is qa and v2.base is qb, name
+        assert u2.tobytes() == qa_bits and v2.tobytes() == qb_bits, name
+        assert rep.best_f == objective(rho, rep.best_pair, rep.best_params)
 
 
 def test_cached_starts_are_read_only_and_searches_repeat():
@@ -991,12 +995,12 @@ def test_search_gradient_matches_central_differences(m, n):
     # The search's variables, A (M x 2) and B (N x 2) as _pack lays them
     # out: at each pair's identity columns, at its columns of random
     # unitaries and at free matrices whose columns are neither normalised
-    # nor orthogonal.
+    # nor orthogonal. The objective gives minimize -f and its gradient.
     sh = BipartiteShape(m, n)
     rng = np.random.default_rng(10 * m + n)
     eps = 1e-6
     rho = ec.random_density(sh, seed=10 * m + n)
-    value, grad, _ = _column_objective(rho)
+    neg_f, neg_grad, _ = _column_objective(rho)
     for pair in valid_pairs(sh):
         cols = [pair[0] - 1, pair[1] - 1]
         eye = LocalUnitaryPair.identity(sh)
@@ -1007,17 +1011,17 @@ def test_search_gradient_matches_central_differences(m, n):
         x_eye = _pack(eye.u[:, cols], eye.v[:, cols])
         x_rand = _pack(uv.u[:, cols], uv.v[:, cols])
         # identity columns pass Gram-Schmidt unchanged
-        assert value(x_eye) == evaluate_pair(rho, pair, eye).f
-        assert abs(value(x_rand) - evaluate_pair(rho, pair, uv).f) <= 1e-14
+        assert -neg_f(x_eye) == evaluate_pair(rho, pair, eye).f
+        assert abs(-neg_f(x_rand) - evaluate_pair(rho, pair, uv).f) <= 1e-14
         for x in (x_eye, x_rand, rng.normal(size=4 * (m + n))):
-            value(x)
-            g = grad(x)
+            neg_f(x)
+            g = neg_grad(x)
             assert g.dtype == np.float64 and g.flags.c_contiguous and g.shape == x.shape
             fd = np.empty_like(g)
             for i in range(x.size):
                 step = np.zeros(x.size)
                 step[i] = eps
-                fd[i] = (value(x + step) - value(x - step)) / (2 * eps)
+                fd[i] = (neg_f(x + step) - neg_f(x - step)) / (2 * eps)
             assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g), (pair, x)
 
 
@@ -1042,7 +1046,7 @@ def test_eigenvector_start_holds_the_top_schmidt_terms(m, n):
             assert abs(abs(overlap) - schmidt[s]) <= 1e-14, (seed, s)
         c = np.kron(u2[:, 0], v2[:, 1]).conj() @ rho.mat @ np.kron(u2[:, 1], v2[:, 0])
         assert c.real > 0 and abs(c.imag) <= 1e-16, (seed, c)
-        f = _column_objective(rho)[0](x0)
+        f = -_column_objective(rho)[0](x0)
         for phase in np.exp(1j * np.linspace(0.5, 6.0, 6)):
             turned = u2.copy()
             turned[:, 0] *= phase

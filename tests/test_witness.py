@@ -389,7 +389,7 @@ def test_one_pair_kernel_serves_every_entry_point(monkeypatch):
         ("pair", lambda: [evaluate_pair(states[0], pair, uv)], 1),
         ("columns", columns_and_grad, 1),
         ("identity", identity_pairs, 1),
-        ("states", lambda: list(evaluate_pair_states(sh, pair, uv, iter(states))), 2),
+        ("states", lambda: [evaluate_pair_states(sh, pair, uv, states)], 2),
     )
 
     def bits(results):
@@ -435,66 +435,55 @@ def test_pair_states_match_evaluate_pair():
                 LocalUnitaryPair(np.stack([u.u for u in us]), np.stack([u.v for u in us])),
             ):
                 for pair in valid_pairs(sh):
-                    got = list(evaluate_pair_states(sh, pair, uv, iter(states)))
+                    got = evaluate_pair_states(sh, pair, uv, states)
                     want = [evaluate_pair(rho, pair, uv) for rho in states]
-                    assert len(got) == len(want)
-                    for g, w in zip(got, want):
-                        for field in ("y1", "y2", "y3", "f"):
-                            assert _bits(getattr(g, field)) == _bits(getattr(w, field)), (sh, pair)
+                    for field in ("y1", "y2", "y3", "f"):
+                        ys = getattr(got, field)  # the states axis first
+                        assert ys.shape == (len(states), *np.shape(getattr(want[0], field)))
+                        for y, w in zip(ys, want):
+                            assert _bits(y) == _bits(getattr(w, field)), (sh, pair)
 
 
-def test_pair_states_checks_and_laziness():
+def test_pair_states_checks():
     sh22 = BipartiteShape(2, 2)
     eye = LocalUnitaryPair.identity(sh22)
     # the pair and the unitaries are checked when the columns are built,
-    # before any state is drawn
+    # before any state is read
     for pair, uv, match in (
         ((1, 3), eye, "not valid"),
         ((1.7, 3), eye, "two integers"),
         ((1, 2), LocalUnitaryPair.identity(BipartiteShape(2, 3)), "do not match"),
     ):
         with pytest.raises(ValueError, match=match):
-            evaluate_pair_states(sh22, pair, uv, iter(()))
+            evaluate_pair_states(sh22, pair, uv, [werner(0.5)])
     with pytest.raises(ValueError, match="state shape"):
-        list(evaluate_pair_states(sh22, (1, 2), eye, [werner(0.5), ec.iso23(0.5)]))
-    # nothing is drawn before the first value is asked for, then one chunk
-    # at a time: never more than one chunk ahead of the values handed out
-    params = np.linspace(0.0, 1.0, 2 * STATE_CHUNK + 1).tolist()
-    drawn = []
-
-    def states():
-        for a in params:
-            drawn.append(a)
-            yield werner(a)
-
-    ys = evaluate_pair_states(sh22, (1, 2), eye, states())
-    assert drawn == []
-    for i, a in enumerate(params):
-        assert next(ys) == evaluate_pair(werner(a), (1, 2), eye)
-        assert len(drawn) == min(len(params), (i // STATE_CHUNK + 1) * STATE_CHUNK)
-    assert next(ys, None) is None
+        evaluate_pair_states(sh22, (1, 2), eye, [werner(0.5), ec.iso23(0.5)])
+    # no states, no values
+    assert evaluate_pair_states(sh22, (1, 2), eye, []).y1.shape == (0,)
 
 
 def test_pair_states_memory_is_bounded_by_the_chunk():
-    """The products are one chunk's: consuming the values over 1,000 states
-    peaks no higher than over 100, within a small slack."""
+    """The products are one chunk's: over 1,000 states the peak, less the
+    stacked states and the y values, which grow with the states, is no
+    higher than over 100, within a small slack."""
     import tracemalloc
 
     sh = BipartiteShape(3, 3)
     p = np.linspace(0.0, np.pi, 101)
     uv = LocalUnitaryPair(ec.rotation_u(p, 3), np.eye(3, dtype=complex))
 
-    def peak(count):
-        states = (ec.horodecki33(a) for a in np.linspace(2.0, 5.0, count))
+    def peak_beyond_input_and_output(count):
+        states = [ec.horodecki33(a) for a in np.linspace(2.0, 5.0, count)]
         tracemalloc.start()
         try:
-            for _ in evaluate_pair_states(sh, (1, 2), uv, states):
-                pass
-            return tracemalloc.get_traced_memory()[1]
+            y = evaluate_pair_states(sh, (1, 2), uv, states)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        stacked = count * states[0].mat.nbytes
+        return peak - stacked - sum(v.nbytes for v in (y.y1, y.y2, y.y3))
 
-    small, large = peak(100), peak(1000)
+    small, large = peak_beyond_input_and_output(100), peak_beyond_input_and_output(1000)
     assert large <= small + 16 * 1024, (small, large)
 
 
@@ -604,3 +593,6 @@ def test_classify_ppt():
     assert classify_ppt(0.05, small) is PptVerdict.SEPARABLE
     assert classify_ppt(0.05, large) is PptVerdict.INCONCLUSIVE
     assert classify_ppt(-1e-12, small) is PptVerdict.SEPARABLE  # within tolerance of 0
+    # a NaN eigenvalue proves nothing, on any shape
+    assert classify_ppt(float("nan"), small) is PptVerdict.INCONCLUSIVE
+    assert classify_ppt(float("nan"), large) is PptVerdict.INCONCLUSIVE
