@@ -33,21 +33,14 @@ from .search import (
 )
 from .states import FAMILY_PARAMS
 from .states import horodecki33, iso23, werner  # noqa: F401  hooked by name: perfbench/spans.py
-from .witness import PptVerdict, Verdict, classify_ppt, ppt_min_eigenvalue
+from .witness import classify_ppt, ppt_min_eigenvalue
 
 EXIT_USAGE = 3
 EXIT_INPUT = 4
 
-_VERDICT_EXIT = {
-    Verdict.ENTANGLED_CERTIFIED: 0,
-    Verdict.INCONCLUSIVE: 1,
-    Verdict.SEPARABLE: 2,
-}
-_PPT_EXIT = {
-    PptVerdict.ENTANGLED: 0,
-    PptVerdict.INCONCLUSIVE: 1,
-    PptVerdict.SEPARABLE: 2,
-}
+# Keyed by verdict value: Verdict and PptVerdict are str enums, so either's
+# members look up their own value here.
+_EXIT = {"entangled_certified": 0, "entangled": 0, "inconclusive": 1, "separable": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="use this level pair only (default: every valid "
                                "pair at the identity; (1, 2) for --optimize, "
                                "which reaches every pair)")
-    p_detect.add_argument("--seed", type=int, default=0, help="search seed")
-    p_detect.add_argument("--restarts", type=int, default=16,
+    p_detect.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
+    p_detect.add_argument("--restarts", type=int, default=SearchConfig.restarts,
                           help="random restarts after the zero start and the start "
                                "at the partial transpose's lowest eigenvector; skipped "
                                "when the partial transpose is proven positive, where "
@@ -159,7 +152,7 @@ def _cmd_detect(args) -> int:
     rho = dmfile.read_density(args.path)
     report = maximize_violation(rho, cfg) if args.optimize else evaluate_at_identity(rho, pair)
     _print_report(report, args.as_json)
-    return _VERDICT_EXIT[report.verdict]
+    return _EXIT[report.verdict]
 
 
 def _cmd_scan(args) -> int:
@@ -190,7 +183,7 @@ def _cmd_ppt(args) -> int:
     verdict = classify_ppt(min_eig, rho.shape)
     print(f"ppt_min_eigenvalue: {min_eig:.12g}")
     print(f"ppt_verdict: {verdict.value}")
-    return _PPT_EXIT[verdict]
+    return _EXIT[verdict]
 
 
 def main(argv=None) -> int:

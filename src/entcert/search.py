@@ -22,8 +22,10 @@ theta: each side is completed to a unitary by Gram-Schmidt of the
 identity's other columns, and both sides' logs come from one stacked
 eigen-solve. The certificate is evaluated at the unitaries rebuilt from
 theta; when the best point is the first evaluated, the zero start's, it
-reports theta = 0 at the identity. The zero start's variables and the
-identity pair are built once per shape and shared read-only. The optimizer,
+reports theta = 0 with the y values the objective computed there: that
+point is the identity's columns, so they are the identity's certificate,
+with no second kernel call. The zero start's variables are built once per
+shape and pair and shared read-only. The optimizer,
 :func:`minimize`, is this module's own numpy L-BFGS with a backtracking
 line search, so a search needs numpy only; the objective computes the
 gradient only at the points :func:`minimize` asks it for, the start and
@@ -362,22 +364,12 @@ def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitar
 
 
 @cache
-def _identity(shape: BipartiteShape) -> LocalUnitaryPair:
-    """The identity pair for ``shape``, built once and read-only: the
-    certificate's unitaries whenever theta is zero."""
-    uv = LocalUnitaryPair.identity(shape)
-    for side in uv:
-        side.setflags(write=False)
-    return uv
-
-
-@cache
 def _zero_start(shape: BipartiteShape, pair: tuple[int, int]) -> np.ndarray:
     """The zero start's search variables, the identity's columns at the
     pair, built once per shape and pair and read-only (:func:`minimize`
     ascends from a copy)."""
     cols = [pair[0] - 1, pair[1] - 1]
-    u, v = _identity(shape)
+    u, v = LocalUnitaryPair.identity(shape)
     x0 = _pack(u[:, cols], v[:, cols])
     x0.setflags(write=False)
     return x0
@@ -434,10 +426,10 @@ def _column_objective(rho: DensityMatrix):
     ``(neg_f, neg_grad, seen)``. ``neg_f(x)`` is -f at x, ``neg_grad(x)``
     its gradient over x at the x that ``neg_f`` last ran at, the pair that
     :func:`minimize` takes, and ``seen()`` gives (evaluations, best): the
-    number of ``neg_f`` calls, and (f, qa, qb, n) at the largest f so far,
-    the earliest such point on ties, with its orthonormal columns (each
-    side's two as rows; the arrays f was computed from, not copies) and its
-    evaluation number n, from 1. best is None before the first call.
+    number of ``neg_f`` calls, and (y, qa, qb, n) at the largest f so far,
+    the earliest such point on ties: its y values, its orthonormal columns
+    (each side's two as rows; the arrays y was computed from, not copies)
+    and its evaluation number n, from 1. best is None before the first call.
 
     :func:`_columns` maps x to two orthonormal columns on each side, which
     stand for columns j, k of u and of v; :func:`evaluate_pair_columns`
@@ -463,8 +455,8 @@ def _column_objective(rho: DensityMatrix):
         kept = y, lw, qa, ra, qb, rb
         evaluations += 1
         f = y.f
-        if best is None or f > best[0]:
-            best = f, qa, qb, evaluations
+        if best is None or f > best[0].f:
+            best = y, qa, qb, evaluations
         return -f
 
     def neg_grad(x) -> np.ndarray:
@@ -663,8 +655,11 @@ def maximize_violation(
     :func:`build_unitaries` rebuilds from it, so the reported violation
     never depends on trusting the optimizer's bookkeeping. When that point
     is evaluation 1, the zero start's x0 (:func:`minimize` evaluates x0
-    first), theta is zero and the certificate is evaluated at the
-    identity, the same bits without the read-off or the exponentials.
+    first), theta is zero and the certificate is the y values the
+    objective computed there: x0 is the identity's columns, which
+    Gram-Schmidt keeps bit for bit, so they are :func:`evaluate_pair`'s
+    bits at the identity, with no read-off, exponential or second kernel
+    call.
     ``evaluations`` counts objective evaluations of f; the gradient's tail
     runs only where :func:`minimize` asks for it, once per start and once
     per accepted step, except at a point that ends its start at the
@@ -743,13 +738,12 @@ def maximize_violation(
         if res.status is MinimizeStatus.REACHED_F_STOP:
             break
 
-    evaluations, (_, qa, qb, n) = seen()
-    if n == 1:  # the zero start's x0: theta = 0 exactly, and exp(0) is the identity
-        params, uv = UnitaryParams.zero(shape), _identity(shape)
+    evaluations, (y, qa, qb, n) = seen()
+    if n == 1:  # the zero start's x0, the identity's columns: theta = 0 and y as computed
+        params = UnitaryParams.zero(shape)
     else:
         params = _theta(qa.T, qb.T, pair)
-        uv = build_unitaries(params, shape)
-    y = evaluate_pair(rho, pair, uv)
+        y = evaluate_pair(rho, pair, build_unitaries(params, shape))
     return _report(rho, pair, params, y, evaluations, ppt_min)
 
 

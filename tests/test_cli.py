@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from entcert import BipartiteShape, ppt_min_eigenvalue
-from entcert.cli import main
+from entcert.cli import _EXIT, _build_parser, main
 from entcert.dmfile import (
     DmParseError,
     format_density,
@@ -17,9 +17,9 @@ from entcert.dmfile import (
     read_density,
     write_density,
 )
-from entcert.search import SCAN_FAMILIES, scan_1d
+from entcert.search import SCAN_FAMILIES, SearchConfig, scan_1d
 from entcert.states import FAMILY_PARAMS
-from entcert.witness import valid_pairs
+from entcert.witness import PptVerdict, Verdict, valid_pairs
 
 
 def run(capsys, *argv):
@@ -79,6 +79,17 @@ def test_detect_exit_codes_cover_verdicts(tmp_path, capsys):
     code, out, _ = run(capsys, "detect", str(h))
     assert code == 1
     assert "inconclusive" in out
+
+
+def test_cli_takes_search_defaults_and_exit_codes_from_one_place():
+    # --seed and --restarts default to SearchConfig's own values, and one
+    # table maps every verdict of either enum to its documented exit code.
+    args = _build_parser().parse_args(["detect", "x.dm"])
+    assert (args.seed, args.restarts) == (SearchConfig().seed, SearchConfig().restarts)
+    assert {v: _EXIT[v] for v in Verdict} == {
+        Verdict.ENTANGLED_CERTIFIED: 0, Verdict.INCONCLUSIVE: 1, Verdict.SEPARABLE: 2}
+    assert {v: _EXIT[v] for v in PptVerdict} == {
+        PptVerdict.ENTANGLED: 0, PptVerdict.INCONCLUSIVE: 1, PptVerdict.SEPARABLE: 2}
 
 
 def test_detect_optimize_flips_iso23(tmp_path, capsys):

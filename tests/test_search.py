@@ -757,11 +757,62 @@ def test_theta_reads_the_first_best_evaluated_point(monkeypatch):
         assert rep.best_f == objective(rho, rep.best_pair, rep.best_params)
 
 
+def test_search_evaluates_the_kernel_once_per_evaluation_and_once_more_off_zero(monkeypatch):
+    # A search whose best point is evaluation 1, the zero start's x0, reports
+    # the y values the objective computed there: x0 is the identity's
+    # columns, so they are evaluate_pair's bits at the identity, and theta
+    # is +0.0 throughout. Any other best point costs one more contraction,
+    # the certificate at the unitaries rebuilt from theta.
+    import entcert.witness as witness_mod
+
+    def bits(y):
+        return np.array([y.y1, y.y2, y.y3]).tobytes()
+
+    at_x0 = {
+        "werner(1)": ec.werner(1.0),
+        "horodecki33(3.5)": ec.horodecki33(3.5),
+        **{name: read_density(DATA / name) for name in
+           ("werner_1.0.dm", "werner_0.5.dm", "iso23_0.0.dm", "horodecki33_3.5.dm")},
+    }
+    # iso23(1), horodecki33(5) and iso23_0.26.dm stop at the eigenvector
+    # start's x0; the random separable states are proven PPT, so only the
+    # zero start runs, but it ascends.
+    off_zero = {
+        "iso23(1)": ec.iso23(1.0),
+        "horodecki33(5)": ec.horodecki33(5.0),
+        "iso23_0.26.dm": read_density(DATA / "iso23_0.26.dm"),
+        **{f"random_separable({m}x{n}, seed={seed})":
+           ec.random_separable(BipartiteShape(m, n), terms=20, seed=seed)[0]
+           for seed, (m, n) in enumerate(((2, 2), (2, 3), (3, 3), (3, 4)))},
+    }
+    calls = []
+    real = witness_mod._contract
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(witness_mod, "_contract", counting)
+    for name, rho in {**at_x0, **off_zero}.items():
+        calls.clear()
+        rep = maximize_violation(rho)
+        theta = np.array(rep.best_params.theta_a + rep.best_params.theta_b)
+        if name in at_x0:
+            assert rep.evaluations == 1 and len(calls) == 1, name
+            assert theta.tobytes() == np.zeros_like(theta).tobytes(), name
+            eye = LocalUnitaryPair.identity(rho.shape)
+            assert bits(rep.y_values) == bits(evaluate_pair(rho, rep.best_pair, eye)), name
+        else:
+            assert rep.evaluations > 1 and len(calls) == rep.evaluations + 1, name
+            assert theta.any(), name
+            assert rep.best_f == objective(rho, rep.best_pair, rep.best_params), name
+
+
 def test_cached_starts_are_read_only_and_searches_repeat():
-    # The zero start's x0 and the identity pair are built once per shape
-    # (and pair) and shared by every search, so nothing may write into
-    # them: a search that did would change the next one's start or
-    # certificate. Two searches in a row on one state report the same.
+    # The zero start's x0 is built once per shape and pair and shared by
+    # every search, so nothing may write into it: a search that did would
+    # change the next one's start. Two searches in a row on one state
+    # report the same.
     import entcert.search as search_mod
 
     for m, n in ((2, 2), (2, 3), (3, 3), (4, 5)):
@@ -773,12 +824,6 @@ def test_cached_starts_are_read_only_and_searches_repeat():
             assert x0.tobytes() == _pack(eye.u[:, cols], eye.v[:, cols]).tobytes()
             with pytest.raises(ValueError):
                 x0[0] = 2.0
-        uv = search_mod._identity(sh)
-        assert uv is search_mod._identity(sh)
-        for side, k in zip(uv, (m, n)):
-            assert side.tobytes() == np.eye(k, dtype=complex).tobytes()
-            with pytest.raises(ValueError):
-                side[0, 0] = 2.0
     states = [ec.werner(1.0), ec.iso23(1.0), ec.horodecki33(5.0), ec.horodecki33(3.5), read_density(DATA / "iso23_0.26.dm")]
     for rho in states:
         first, second = maximize_violation(rho), maximize_violation(rho)
