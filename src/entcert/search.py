@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 from functools import cache
 from typing import NamedTuple
@@ -316,16 +316,8 @@ class DetectionReport:
             "verdict": self.verdict.value,
             "best_f": self.best_f,
             "best_pair": list(self.best_pair),
-            "best_params": {
-                "theta_a": list(self.best_params.theta_a),
-                "theta_b": list(self.best_params.theta_b),
-            },
-            "y_values": {
-                "y1": self.y_values.y1,
-                "y2": self.y_values.y2,
-                "y3": self.y_values.y3,
-                "f": self.y_values.f,
-            },
+            "best_params": {name: list(theta) for name, theta in asdict(self.best_params).items()},
+            "y_values": {**asdict(self.y_values), "f": self.y_values.f},
             "ppt_min": self.ppt_min,
             "ppt_verdict": self.ppt_verdict.value,
             "evaluations": self.evaluations,
@@ -463,7 +455,7 @@ def _column_objective(rho: DensityMatrix):
         y, lw, qa, ra, qb, rb = kept
         gu, gv = pair_columns_grad(y, lw, qa.T, qb.T)
         ga, gb = _gram_schmidt_pullback(gu.T, qa, ra), _gram_schmidt_pullback(gv.T, qb, rb)
-        return -np.concatenate((ga, gb), axis=1).view(float).ravel()
+        return -_pack(ga.T, gb.T)
 
     def seen():
         return evaluations, best
