@@ -19,18 +19,20 @@ random starts, Gram-Schmidt of complex Gaussian A and B, so Haar random
 (Mezzadri, Notices AMS 54 (2007) 592). The best point's columns, as the
 objective computed them (no Gram-Schmidt runs twice), are turned back into
 theta: each side is completed to a unitary by Gram-Schmidt of the
-identity's other columns, and both sides' logs come from one stacked
-eigen-solve. The certificate is evaluated at the unitaries rebuilt from
-theta; when the best point is the first evaluated, the zero start's, it
-reports theta = 0 with the y values the objective computed there: that
-point is the identity's columns, so they are the identity's certificate,
-with no second kernel call. The zero start's variables are built once per
-shape and pair and shared read-only. The optimizer,
-:func:`minimize`, is this module's own numpy L-BFGS with a backtracking
-line search, so a search needs numpy only; the objective computes the
-gradient only at the points :func:`minimize` asks it for, the start and
-each accepted step, but not at a point that reaches the spectral bound
-(below).
+identity's other columns, both sides' logs come from one stacked
+eigen-solve, and each side's theta is one product with the flattened
+generator stack that :func:`build_unitaries` multiplies theta by, so one
+table of generators serves both directions. The certificate is evaluated
+at the unitaries rebuilt from theta; when the best point is the first
+evaluated, the zero start's, it reports theta = 0 with the y values the
+objective computed there: that point is the identity's columns, so they
+are the identity's certificate, with no second kernel call. The zero
+start's variables are built once per shape and pair and shared read-only.
+The optimizer, :func:`minimize`, is this module's own numpy L-BFGS with a
+backtracking line search, so a search needs numpy only; the objective
+computes the gradient only at the points :func:`minimize` asks it for,
+the start and each accepted step, but not at a point that reaches the
+spectral bound (below).
 
 With a = <x|rho^Gamma|x>, b = <y|rho^Gamma|y> and c = <x|rho^Gamma|y> for
 the orthonormal product vectors x = u_j (x) conj(v_j) and
@@ -431,10 +433,11 @@ def _column_objective(rho: DensityMatrix):
     :func:`_gram_schmidt_pullback` to carry them back to A and B. A complex
     entry's cotangent g contributes Re(conj(g) dz), so its real and
     imaginary parts are the gradient over the entry's real and imaginary
-    parts, in the order x holds them. The gradient is a C-contiguous
-    float64 vector: a strided one would round ``g @ d`` in the optimizer
-    differently. ``evaluate_pair_columns`` and ``pair_columns_grad`` are
-    looked up in this module on every call, where callers can wrap them.
+    parts, so :func:`_pack` lays them out in the order x holds them. The
+    gradient is a C-contiguous float64 vector: a strided one would round
+    ``g @ d`` in the optimizer differently. ``evaluate_pair_columns`` and
+    ``pair_columns_grad`` are looked up in this module on every call, where
+    callers can wrap them.
     """
     m = rho.shape.dim_a
     kept = None  # (y, lw, qa, ra, qb, rb) where neg_f last ran
@@ -525,23 +528,6 @@ def _completed(q: np.ndarray, levels: tuple[int, int]) -> np.ndarray:
     return u
 
 
-@cache
-def _theta_reader(m: int, n: int) -> np.ndarray:
-    """The matrix that reads theta off the stack h = (h_a, h_b), each
-    padded to k = max(M, N) and flattened: Re of its product with h is
-    (Tr(g_a h_a) / 2 over SU(M)'s generators, then Tr(g_b h_b) / 2 over
-    SU(N)'s). Built once per shape, read-only."""
-    k = max(m, n)
-    stack_a, stack_b = _generator_stack(m), _generator_stack(n)
-    reader = np.zeros((len(stack_a) + len(stack_b), 2, k, k), dtype=complex)
-    # Tr(g h) = sum_ij g[i, j] h[j, i]: each row holds its generator transposed
-    reader[: len(stack_a), 0, :m, :m] = stack_a.transpose(0, 2, 1) / 2
-    reader[len(stack_a) :, 1, :n, :n] = stack_b.transpose(0, 2, 1) / 2
-    reader = reader.reshape(len(reader), -1)
-    reader.setflags(write=False)
-    return reader
-
-
 def _theta(u2: np.ndarray, v2: np.ndarray, levels: tuple[int, int]) -> UnitaryParams:
     """Generator coefficients whose exponentials exp(i sum_a theta_a g_a)
     have u2's and v2's orthonormal columns at the levels (j, k), each up to
@@ -562,7 +548,10 @@ def _theta(u2: np.ndarray, v2: np.ndarray, levels: tuple[int, int]) -> UnitaryPa
     - theta_a = Tr(g_a h_a) / 2 reads the traceless part of h_a, u's block
       of the first slice; its exponential is u times the global phase
       exp(-i Tr(h_a) / M), and likewise on B. f does not see those phases,
-      so no branch of the log needs choosing.
+      so no branch of the log needs choosing. Each side's read-off is one
+      product with the same flattened generator stack that
+      :func:`build_unitaries` multiplies theta by: Tr(g h) is the sum of
+      g[i, j] h[j, i], so each flattened generator meets h transposed.
     The identity's columns complete to the identity, whose eigenvalues
     are 1 exactly, so they read off as theta = 0 on their side, at every
     pair.
@@ -575,8 +564,11 @@ def _theta(u2: np.ndarray, v2: np.ndarray, levels: tuple[int, int]) -> UnitaryPa
     vals, vecs = np.linalg.eig(w)
     vecs = np.linalg.qr(vecs)[0]
     h = (vecs * np.angle(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    theta = (_theta_reader(m, n) @ h.ravel()).real.tolist()
-    return UnitaryParams(tuple(theta[: m * m - 1]), tuple(theta[m * m - 1 :]))
+    theta_a, theta_b = (
+        (_generator_stack(d).reshape(d * d - 1, -1) @ h[s, :d, :d].T.ravel()).real / 2
+        for s, d in enumerate((m, n))
+    )
+    return UnitaryParams(tuple(theta_a.tolist()), tuple(theta_b.tolist()))
 
 
 def objective(rho: DensityMatrix, pair: tuple[int, int], params: UnitaryParams) -> float:

@@ -271,6 +271,12 @@ def test_scan_rejects_bad_grid(tmp_path, capsys):
         code, _, err = run(capsys, "scan", "werner", "--pair", *pair, "--out", str(tmp_path / "x.csv"))
         assert code == 3
         assert "level pair" in err
+    for steps in (("--param-steps", "0"), ("--p-steps", "1")):
+        out = tmp_path / "steps.csv"
+        code, _, err = run(capsys, "scan", "werner", *steps, "--out", str(out))
+        assert code == 3
+        assert err == "entcert scan: error: need param-steps >= 1 and p-steps >= 2\n"
+        assert not out.exists()
 
 
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
@@ -314,16 +320,23 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
         parse_density("dm v1\ndims 2 2\n" + "0.25,0 0,0 0,0 0,0\n" * 3)
 
 
+_ROWS = ("0.25,0 0,0 0,0 0,0", "0,0 0.25,0 0,0 0,0", "0,0 0,0 0.25,0 0,0", "0,0 0,0 0,0 0.25,0")
+
+
+def _dm_2x2(row1=_ROWS[0], row2=_ROWS[1]) -> str:
+    return "dm v1\ndims 2 2\n" + "\n".join((row1, row2) + _ROWS[2:]) + "\n"
+
+
 def test_dm_reader_extra_rows_and_line_ends(tmp_path):
-    rows = ["0.25,0 0,0 0,0 0,0", "0,0 0.25,0 0,0 0,0", "0,0 0,0 0.25,0 0,0", "0,0 0,0 0,0 0.25,0"]
-    lf = "dm v1\ndims 2 2\n" + "\n".join(rows) + "\n"
+    rows, lf = _ROWS, _dm_2x2()
     # a non-blank row past the M*N matrix rows is an error at its own line
     with pytest.raises(DmParseError, match="line 8, column 1: expected 4 matrix rows, found more"):
         parse_density(lf + "\n" + rows[0] + "\n")
     # a malformed row among the matrix rows is reported before an extra row
-    bad = lf.replace(rows[1], "0,0 oops 0,0 0,0")
-    with pytest.raises(DmParseError, match="line 4, column 5: expected 're,im' pair, got 'oops'"):
-        parse_density(bad + rows[0] + "\n")
+    for tok in ("oops", "0,0,0", "0,"):
+        bad = lf.replace(rows[1], f"0,0 {tok} 0,0 0,0")
+        with pytest.raises(DmParseError, match=f"line 4, column 5: expected 're,im' pair, got '{tok}'"):
+            parse_density(bad + rows[0] + "\n")
     # CRLF, lone-CR and form-feed line breaks read as the LF file does
     (tmp_path / "lf.dm").write_bytes(lf.encode())
     want = read_density(tmp_path / "lf.dm").mat.tobytes()
@@ -334,6 +347,24 @@ def test_dm_reader_extra_rows_and_line_ends(tmp_path):
         path.write_bytes((lf + rows[0] + "\n").replace("\n", brk).encode())
         with pytest.raises(DmParseError, match="line 7, column 1: .* found more"):
             read_density(path)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("dm v1\n", "missing 'dims M N' line", 2, 1),
+    ("dm v1\nsize 2 2\n", "expected 'dims M N'", 2, 1),
+    ("dm v1\ndims  2 x\n", "dimensions must be integers", 2, 7),
+    ("dm v1\n dims 1 2\n", "dimensions must be >= 2, got 1 2", 2, 7),
+    # too many entries: the column of the first extra token
+    (_dm_2x2(row1=_ROWS[0] + " 9,9"), "expected 4 entries in row 1, got 5", 3, 20),
+    # too few: one past the end of the line
+    (_dm_2x2(row2="0,0 0.25,0  0,0"), "expected 4 entries in row 2, got 3", 4, 16),
+    (_dm_2x2(row2="0,0 0.25,0 0,1e 0,0"), "bad float in '0,1e'", 4, 12),
+])
+def test_dm_syntax_errors(text, message, line, col):
+    with pytest.raises(DmParseError) as exc_info:
+        parse_density(text)
+    err = exc_info.value
+    assert (str(err), err.line, err.col) == (f"line {line}, column {col}: {message}", line, col)
 
 
 def test_invalid_density_file_rejected(tmp_path, capsys):

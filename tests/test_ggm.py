@@ -85,6 +85,12 @@ def test_ketbra_index_errors():
     for j, k in ((0, 1), (1, 4), (4, 4)):
         with pytest.raises(ValueError):
             ketbra_in_ggm(j, k, b)
+    for lookup, args, message in ((b.sym, (2, 1), "need 1 <= j < k <= 3, got (2,1)"),
+                                  (b.asym, (1, 4), "need 1 <= j < k <= 3, got (1,4)"),
+                                  (b.diag, (0,), "need 1 <= l <= 2, got 0")):
+        with pytest.raises(ValueError) as exc_info:
+            lookup(*args)
+        assert str(exc_info.value) == message
 
 
 def test_completeness_traceless_expansion():

@@ -151,6 +151,8 @@ def test_hermitian_eigen_rejects_non_hermitian():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigen(bad)
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        hermitian_eigen(np.ones((2, 3)))
 
 
 def test_hermitian_eigen_werner_ppt_closed_form():

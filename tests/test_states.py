@@ -183,6 +183,10 @@ def test_separable_ensemble_validation():
         SeparableEnsemble(sh, (0.5, 0.4), ((e0, e0), (e0, e0)))
     with pytest.raises(ValueError, match="unit norm"):
         SeparableEnsemble(sh, (1.0,), ((2 * e0, e0),))
+    with pytest.raises(ValueError, match="^one factor pair per weight required$"):
+        SeparableEnsemble(sh, (0.5, 0.5), ((e0, e0),))
+    with pytest.raises(ValueError, match="^factor vector dimensions do not match shape$"):
+        SeparableEnsemble(sh, (1.0,), ((np.array([1, 0, 0], dtype=complex), e0),))
     # NaN fails every comparison, so the checks are written to reject it
     nan_vec = np.array([np.nan, 0], dtype=complex)
     for weights in ((np.nan,), (1.0, np.nan)):

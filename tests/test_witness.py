@@ -146,6 +146,8 @@ def test_triple_level_errors():
         build_triple_mxn(sh, 1, 4, b3, b4)  # k capped by min(M, N)
     with pytest.raises(ValueError):
         build_triple_2xd(1, cached_basis(2), cached_basis(2))
+    with pytest.raises(ValueError, match="^basis dimensions must match the bipartite shape$"):
+        build_triple_mxn(BipartiteShape(2, 3), 1, 2, cached_basis(2), cached_basis(2))
 
 
 def test_rotate_identity_and_spectrum():
