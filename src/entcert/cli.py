@@ -160,10 +160,11 @@ def _cmd_scan(args) -> int:
     param_min = lo if args.param_min is None else args.param_min
     param_max = hi if args.param_max is None else args.param_max
     try:  # every failure here is in the arguments: the family fixes the state
-        if not (lo <= param_min <= param_max <= hi):
-            raise ValueError(
-                f"parameter grid [{param_min}, {param_max}] outside family domain [{lo}, {hi}]"
-            )
+        grid = f"parameter grid [{param_min}, {param_max}]"
+        if not (lo <= param_min <= hi and lo <= param_max <= hi):  # NaN fails too
+            raise ValueError(f"{grid} outside family domain [{lo}, {hi}]")
+        if param_min > param_max:
+            raise ValueError(f"{grid} runs backwards: need param-min <= param-max")
         if args.param_steps < 1 or args.p_steps < 2:
             raise ValueError("need param-steps >= 1 and p-steps >= 2")
         params = np.linspace(param_min, param_max, args.param_steps)

@@ -7,9 +7,12 @@ Density matrix format (``dm v1``)::
     <M*N rows, each with M*N whitespace-separated entries "re,im">
 
 Entries are written with Python's round-trip float repr, so a rewrite of a
-parsed file is byte-identical. Row/column order is the A-major product basis
-of :class:`~entcert.linalg.BipartiteShape`. Parsed matrices go through full
-density-matrix validation; syntax errors carry 1-based line and column.
+parsed file that entcert wrote, or of any exactly Hermitian one, is
+byte-identical. Row/column order is the A-major product basis of
+:class:`~entcert.linalg.BipartiteShape`. Parsed matrices go through full
+density-matrix validation, which keeps the Hermitian part (m + m^dag)/2:
+a file Hermitian only to within 1e-10 is rewritten as that part. Syntax
+errors carry 1-based line and column.
 
 Generator dumps reuse the matrix row syntax under a ``ggm v1`` header, one
 labeled block per generator. Scan tables are CSV with header ``param,p,f``

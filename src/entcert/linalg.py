@@ -59,13 +59,21 @@ def _require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The Hermitian part (m + m^dag)/2 of a finite square m that is Hermitian
+    within HERMITICITY_TOL; ValueError otherwise.
+
+    The result is a new array and exactly Hermitian: entry (j, k) is the
+    same two operands summed in the same order as entry (k, j), conjugated.
+    This is the one place entcert forms a Hermitian part.
+    """
     m = _require_square(m, what)
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
+    m_dag = m.conj().T
+    dev = np.abs(m - m_dag).max() if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{what} not Hermitian (deviation {dev:.3e})")
-    return m
+    return (m + m_dag) / 2
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,9 +95,7 @@ def partial_transpose_b(rho: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     rho = _require_square(rho, "state")
     m, n = shape.dim_a, shape.dim_b
     if rho.shape[0] != m * n:
-        raise ValueError(
-            f"matrix order {rho.shape[0]} does not match shape {m}x{n}"
-        )
+        raise ValueError(f"matrix order {rho.shape[0]} does not match shape {m}x{n}")
     return rho.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(m * n, m * n)
 
 
@@ -97,11 +103,10 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns). The input must be
-    finite and Hermitian within HERMITICITY_TOL and is symmetrized as (h + h^dag)/2
-    before decomposition to absorb roundoff.
+    finite and Hermitian within HERMITICITY_TOL; its Hermitian part (see
+    :func:`_require_hermitian`) is decomposed, to absorb roundoff.
     """
-    h = _require_hermitian(h)
-    return np.linalg.eigh((h + h.conj().T) / 2)
+    return np.linalg.eigh(_require_hermitian(h))
 
 
 def unitary_exp(h: np.ndarray) -> np.ndarray:

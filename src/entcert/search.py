@@ -674,8 +674,8 @@ def maximize_violation(
     #   p(n) eps ||rho^Gamma||_2 of the exact one;
     # - ||rho^Gamma||_2 <= ||rho^Gamma||_F = ||rho||_F, about 1 at most for
     #   a validated DensityMatrix (unit trace, eigenvalues >= -1e-9);
-    # - hermitian_eigen solves the Hermitian part, which is also the only part
-    #   the kernel's real y values read.
+    # - rho.mat is exactly Hermitian, so eigh solves the very matrix whose
+    #   entries the kernel's real y values read.
     # PPT_TOL is far above that rounding for every order entcert reads, so a
     # state above it runs the zero start alone. States inside the band keep
     # every start. Either way no verdict moves: a PPT state's exact f is <= 0,

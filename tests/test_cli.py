@@ -267,6 +267,15 @@ def test_scan_rejects_bad_grid(tmp_path, capsys):
     )
     assert code == 3
     assert "domain" in err
+    out = tmp_path / "backwards.csv"
+    code, _, err = run(
+        capsys, "scan", "werner", "--param-min", "0.5", "--param-max", "0.2", "--out", str(out)
+    )
+    assert code == 3
+    assert err == (
+        "entcert scan: error: parameter grid [0.5, 0.2] runs backwards: need param-min <= param-max\n"
+    )
+    assert not out.exists()
     for pair in (("1", "3"), ("2", "1")):  # no input file is read, so a usage error
         code, _, err = run(capsys, "scan", "werner", "--pair", *pair, "--out", str(tmp_path / "x.csv"))
         assert code == 3

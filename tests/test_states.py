@@ -1,12 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcert import (
     BipartiteShape,
     DensityMatrix,
     SeparableEnsemble,
+    evaluate_at_identity,
     horodecki33,
     iso23,
+    maximize_violation,
+    partial_transpose_b,
     ppt_min_eigenvalue,
     random_density,
     random_separable,
@@ -14,7 +21,9 @@ from entcert import (
     schmidt_pure,
     werner,
 )
-from entcert.states import FAMILY_PARAMS, _family_constants
+from entcert.linalg import HERMITICITY_TOL
+from entcert.states import FAMILY_PARAMS, TRACE_TOL, _family_constants
+from entcert.witness import ppt_eigen
 
 
 def test_density_matrix_validation():
@@ -32,6 +41,76 @@ def test_density_matrix_validation():
             DensityMatrix(sh, np.diag([bad, 0.5, 0.25, 0.25]).astype(complex))
     dm = DensityMatrix(sh, np.eye(4, dtype=complex) / 4)
     assert not dm.mat.flags.writeable
+
+
+def _gram_state(rng, order):
+    g = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+    mat = g @ g.conj().T
+    return mat / mat.trace().real
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.0, 0.45))
+def test_state_is_the_hermitian_part_of_its_input(m, n, seed, scale):
+    """A DensityMatrix holds one matrix, the Hermitian part of its input:
+    the kernel and the PPT solve read it, and the PPT solve gets the
+    eigenpairs the symmetrised partial transpose of the raw input has."""
+    sh = BipartiteShape(m, n)
+    rng = np.random.default_rng(seed)
+    # anti-Hermitian noise with |raw - raw^dag| below HERMITICITY_TOL and a
+    # zero diagonal, so the trace is the Gram state's
+    x = rng.standard_normal((sh.order,) * 2) + 1j * rng.standard_normal((sh.order,) * 2)
+    noise = (x - x.conj().T) / 2
+    np.fill_diagonal(noise, 0)
+    raw = _gram_state(rng, sh.order) + scale * HERMITICITY_TOL * noise / np.abs(noise).max()
+    rho = DensityMatrix(sh, raw)
+    assert rho.mat.tobytes() == ((raw + raw.conj().T) / 2).tobytes()
+    assert np.array_equal(rho.mat, rho.mat.conj().T)
+    assert not rho.mat.flags.writeable
+    assert not np.shares_memory(rho.mat, raw)
+
+    pt = partial_transpose_b(raw, sh)
+    want_vals, want_vecs = np.linalg.eigh((pt + pt.conj().T) / 2)
+    vals, vecs = ppt_eigen(rho)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert vecs.tobytes() == want_vecs.tobytes()
+
+    # Imaginary diagonal parts whose sum lands on either side of TRACE_TOL:
+    # the trace is read off the input, so they decide as they did when the
+    # raw input was stored (the Hermitian part's trace is real).
+    tilted = raw + 1j * np.diag(np.full(sh.order, (0.5 + 2 * scale) * TRACE_TOL / sh.order))
+    if abs(tilted.trace() - 1.0) > TRACE_TOL:
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(sh, tilted)
+    else:
+        assert DensityMatrix(sh, tilted).mat.tobytes() == ((tilted + tilted.conj().T) / 2).tobytes()
+
+
+def test_hermiticity_is_checked_once_per_state(monkeypatch):
+    """Each DensityMatrix checks its input once; the PPT solve and the
+    identity report read the checked matrix without a second check, and a
+    search checks only the generators of its certificate's two unitary_exp."""
+    rhos = [random_density(BipartiteShape(3, 4), seed=0), horodecki33(4.5), iso23(1.0)]
+    calls = []
+    for mod in ("entcert.linalg", "entcert.states"):
+        module = importlib.import_module(mod)
+        real = module._require_hermitian
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_require_hermitian", counting)
+
+    DensityMatrix(rhos[0].shape, rhos[0].mat)
+    assert len(calls) == 1
+    for rho in rhos:
+        calls.clear()
+        ppt_eigen(rho)
+        evaluate_at_identity(rho)
+        assert len(calls) == 0
+    maximize_violation(rhos[2])
+    assert len(calls) == 2
 
 
 def test_werner_limits():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -37,3 +38,44 @@ def test_code_lines_counts_code_not_docstrings(tmp_path, capsys):
     (tmp_path / "pkg" / "b.py").write_text("y = 1\n")
     assert code_lines.main([str(path), str(tmp_path / "pkg")]) == 0
     assert capsys.readouterr().out.split("\n")[-2].split() == ["8", "total"]
+
+
+REPORT_SWEEP = CODE_LINES.parent / "report_sweep.py"
+
+
+def _report(verdict="entangled_certified", best_f=0.5, theta_a=(0.0, 0.0, 0.0), evaluations=10):
+    return {"verdict": verdict, "best_f": best_f, "best_pair": [1, 2],
+            "best_params": {"theta_a": list(theta_a), "theta_b": [0.0, 0.0, 0.0]},
+            "y_values": {"y1": 0.0, "y2": 0.0, "y3": 0.0, "f": best_f},
+            "ppt_min": -0.1, "ppt_verdict": "entangled", "evaluations": evaluations}
+
+
+def test_report_sweep_compare(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("report_sweep", REPORT_SWEEP)
+    report_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_sweep)
+    base = {"2x2/s0/search0": _report(), "2x2/s0/identity": _report(evaluations=1)}
+    new = {"2x2/s0/search0": _report(best_f=0.5 + 2**-20, theta_a=(0.0, 0.25, 0.0), evaluations=13),
+           "2x2/s0/identity": _report(evaluations=1)}
+    paths = {}
+    for name, reports in (("base", base), ("new", new)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(reports))
+    assert report_sweep.main(["compare", str(paths["base"]), str(paths["new"])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "moved: 1 of 2 reports",
+        "  2x2/s0/search0",
+        "verdict changes: 0",
+        "evaluation changes: 1 (total 11 -> 14)",
+        "  2x2/s0/search0: 10 -> 13",
+        "max |d theta|: 0.25",
+        "max |d best_f|: 9.54e-07",
+    ]
+
+    new["2x2/s0/identity"] = _report(verdict="inconclusive", evaluations=1)
+    paths["new"].write_text(json.dumps(new))
+    assert report_sweep.main(["compare", str(paths["base"]), str(paths["new"])]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "moved: 2 of 2 reports"
+    assert "  2x2/s0/identity: entangled_certified -> inconclusive" in out
+    assert report_sweep.main(["compare", str(paths["base"])]) == 2
