@@ -58,22 +58,26 @@ def _require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def _require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """The Hermitian part (m + m^dag)/2 of a finite square m that is Hermitian
-    within HERMITICITY_TOL; ValueError otherwise.
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 of a square complex m, unchecked.
 
     The result is a new array and exactly Hermitian: entry (j, k) is the
     same two operands summed in the same order as entry (k, j), conjugated.
     This is the one place entcert forms a Hermitian part.
     """
+    return (m + m.conj().T) / 2
+
+
+def _require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The Hermitian part (see :func:`_hermitian_part`) of a finite square m
+    that is Hermitian within HERMITICITY_TOL; ValueError otherwise."""
     m = _require_square(m, what)
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
-    m_dag = m.conj().T
-    dev = np.abs(m - m_dag).max() if m.size else 0.0
+    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{what} not Hermitian (deviation {dev:.3e})")
-    return (m + m_dag) / 2
+    return _hermitian_part(m)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

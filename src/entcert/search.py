@@ -756,7 +756,8 @@ def scan_1d(
     Rows are (family_param, p, f) with the family parameter as the outer
     loop. Per scan, the rotations for every p and the witness columns of
     their stack are built once; per family parameter, the family's
-    constructor builds and validates the state; then
+    constructor builds the state, with no eigen-solve (family states are
+    valid by their closed-form spectra, see ``states._family_state``); then
     :func:`evaluate_pair_states` stacks the states and contracts them a
     chunk at a time against those columns. The products' memory grows with
     the number of p values, not with the grid; the stacked states grow with

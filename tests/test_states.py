@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from entcert import (
     schmidt_pure,
     werner,
 )
+from entcert.dmfile import read_density
 from entcert.linalg import HERMITICITY_TOL
+from entcert.search import scan_1d
 from entcert.states import FAMILY_PARAMS, TRACE_TOL, _family_constants
 from entcert.witness import ppt_eigen
 
@@ -160,6 +163,9 @@ def test_horodecki_structure():
     assert abs(rho.mat[sh.index(2, 1), sh.index(2, 1)] - 2 / 21) < 1e-15
 
 
+FAMILIES = {"werner": werner, "iso23": iso23, "horodecki33": horodecki33}
+
+
 def _written_out(family: str, x: float) -> np.ndarray:
     """A family's matrix from its definition, every constant built afresh."""
     if family == "horodecki33":
@@ -182,8 +188,7 @@ def _written_out(family: str, x: float) -> np.ndarray:
 
 
 def test_family_constants_cached_read_only_and_unshared():
-    fns = {"werner": werner, "iso23": iso23, "horodecki33": horodecki33}
-    for family, fn in fns.items():
+    for family, fn in FAMILIES.items():
         lo, hi = FAMILY_PARAMS[family].domain
         for x in (lo, (lo + hi) / 2, hi):
             assert fn(x).mat.tobytes() == _written_out(family, x).tobytes(), (family, x)
@@ -197,6 +202,106 @@ def test_family_constants_cached_read_only_and_unshared():
         assert not any(np.shares_memory(first, m) for m in consts)
     with pytest.raises(ValueError, match="unknown family"):
         _family_constants("bogus")
+
+
+def _spectrum(family: str, x: float) -> list[float]:
+    """A family's exact spectrum at x, ascending: the premise of the proof
+    that lets the constructors skip validation (see states._family_state)."""
+    if family == "werner":
+        vals = [(1 + 3 * x) / 4] + [(1 - x) / 4] * 3
+    elif family == "iso23":
+        vals = [(1 + 5 * x) / 6] + [(1 - x) / 6] * 5
+    else:
+        vals = [2 / 7] + [x / 21] * 3 + [(5 - x) / 21] * 3 + [0.0] * 2
+    return sorted(vals)
+
+
+def _check_family_state(family: str, x: float) -> None:
+    rho = FAMILIES[family](x)
+    checked = DensityMatrix(rho.shape, _written_out(family, x))  # full validation
+    assert rho.mat.tobytes() == checked.mat.tobytes(), (family, x)
+    assert not rho.mat.flags.writeable
+    assert np.abs(np.linalg.eigvalsh(rho.mat) - _spectrum(family, x)).max() <= 1e-14, (family, x)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_states_pass_full_validation_at_grid_points(family):
+    lo, hi = FAMILY_PARAMS[family].domain
+    for n in (2, 6, 11, 101):
+        for x in np.linspace(lo, hi, n).tolist():
+            _check_family_state(family, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_states_pass_full_validation_across_the_domain(data):
+    family = data.draw(st.sampled_from(sorted(FAMILIES)))
+    lo, hi = FAMILY_PARAMS[family].domain
+    _check_family_state(family, data.draw(st.floats(lo, hi)))
+
+
+def test_family_parameter_must_be_a_real_number_in_the_domain():
+    # The constructors skip the DensityMatrix check, so each refusal it made
+    # is made by the parameter check: a complex parameter passes numpy's
+    # ordered domain test, and an array of one element would build a stack.
+    for fn in FAMILIES.values():
+        lo, hi = FAMILY_PARAMS[fn.__name__].domain
+        mid = (lo + hi) / 2
+        for bad in (np.nan, np.inf, -np.inf, lo - 0.1, hi + 0.1):
+            with pytest.raises(ValueError, match=r"parameter must be in \["):
+                fn(bad)
+        for bad in (np.complex128(mid + 1j), np.array([[[mid]]])):
+            with pytest.raises(ValueError, match="parameter must be a real number"):
+                fn(bad)
+        with pytest.raises(TypeError):
+            fn(str(mid))
+    # Refused: a parameter is one real number, not an array, nor a complex
+    # number even with a zero imaginary part.
+    for bad in (np.array([0.5]), np.array(0.5), np.complex128(0.5 + 0j)):
+        with pytest.raises(ValueError, match="^werner parameter must be a real number, got "):
+            werner(bad)
+    # Accepted: any other real type builds the state of its float64 value,
+    # bit for bit; float32 is widened exactly before any arithmetic.
+    same = [(np.float32(0.3), float(np.float32(0.3))), (np.int64(1), 1.0), (True, 1.0)]
+    for odd, x in same:
+        assert werner(odd).mat.tobytes() == werner(x).mat.tobytes()
+    for fn in FAMILIES.values():
+        x32 = np.float32(FAMILY_PARAMS[fn.__name__].domain[0] + 0.3)
+        assert fn(x32).mat.tobytes() == fn(float(x32)).mat.tobytes()
+    assert werner(np.float32(0.3)).mat.tobytes() == DensityMatrix(
+        BipartiteShape(2, 2), _written_out("werner", float(np.float32(0.3)))
+    ).mat.tobytes()
+
+
+def _count_validation(monkeypatch) -> list[str]:
+    calls = []
+    real_post_init, real_eigvalsh = DensityMatrix.__post_init__, np.linalg.eigvalsh
+
+    def post_init(self):
+        calls.append("validate")
+        real_post_init(self)
+
+    def eigvalsh(*args, **kwargs):
+        calls.append("eigvalsh")
+        return real_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", post_init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return calls
+
+
+def test_scan_builds_family_states_without_validation_and_files_still_validate(monkeypatch):
+    calls = _count_validation(monkeypatch)
+    p_values = np.linspace(0.0, np.pi, 101)
+    for family, row in FAMILY_PARAMS.items():
+        assert len(scan_1d(family, np.linspace(*row.domain, 101), p_values)) == 101 * 101
+        assert calls == [], family
+    paths = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.dm"))
+    assert paths
+    for path in paths:
+        calls.clear()
+        read_density(path)
+        assert calls == ["validate", "eigvalsh"], path
 
 
 def test_schmidt_pure():
