@@ -60,6 +60,14 @@ COMMANDS = [
     "make-state werner --a 1.5 --out {tmp}/bad.dm",
     "make-state iso23 --a -0.1 --out {tmp}/bad.dm",
     "make-state horodecki33 --alpha 1.5 --out {tmp}/bad.dm",
+    # Refusals on each side of the read: an argument refused before the
+    # input file is opened is a usage error (3) even when the file is
+    # missing; from the read on, an input error (4).
+    "detect {data}/werner_1.0.dm --seed -1",
+    "detect {tmp}/missing.dm --restarts 0",
+    "make-state werner --a nan --out {tmp}/bad.dm",
+    "scan werner --param-min nan --out {tmp}/bad.csv",
+    "ppt {tmp}/missing.dm",
     *(f"scan {family} --out {{tmp}}/{family}.csv" for family in ("werner", "iso23", "horodecki33")),
     # Grids whose parameter count falls on, just past or short of a chunk
     # edge of the scan's contraction, and a single-parameter grid.
