@@ -9,8 +9,12 @@ Subcommands:
 - ``ppt``         partial-transpose oracle only
 
 Exit codes: 0 entangled_certified, 1 inconclusive, 2 separable,
-3 usage/parameter error, 4 unreadable/invalid input file (or arguments
-inconsistent with it, such as a level pair the file's shape cannot hold).
+3 usage/parameter error, 4 unreadable/invalid input file. ``main`` alone
+maps a refusal to 3 or 4, by one rule: a ValueError or MemoryError (an
+allocation that the arguments make impossible) raised before the command
+starts reading its input file is a usage error, 3; from the read on, it is
+an input error, 4, such as a level pair the file's shape cannot hold. An
+OSError is an i/o error, 4.
 """
 
 from __future__ import annotations
@@ -108,9 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> int:
-    if args.dim < 2:
-        print(f"entcert basis: error: --dim must be >= 2, got {args.dim}", file=sys.stderr)
-        return EXIT_USAGE
     dmfile.write_basis(build_basis(args.dim), args.out)
     print(f"wrote {args.dim * args.dim - 1} generators to {args.out}")
     return 0
@@ -118,11 +119,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_make_state(args) -> int:
     fn, _ = SCAN_FAMILIES[args.family]
-    try:
-        rho = fn(getattr(args, FAMILY_PARAMS[args.family].name))
-    except ValueError as exc:
-        print(f"entcert make-state: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rho = fn(getattr(args, FAMILY_PARAMS[args.family].name))
     dmfile.write_density(rho, args.out)
     print(f"wrote {args.family} state ({rho.shape.dim_a}x{rho.shape.dim_b}) to {args.out}")
     return 0
@@ -142,14 +139,16 @@ def _print_report(report: DetectionReport, as_json: bool) -> None:
     print(f"evaluations: {report.evaluations}")
 
 
+def _read_input(args):
+    """Read the command's input file; a refusal from here on is an input error."""
+    args.reading = True
+    return dmfile.read_density(args.path)
+
+
 def _cmd_detect(args) -> int:
     pair = tuple(args.pair) if args.pair else None
-    try:
-        cfg = SearchConfig(restarts=args.restarts, seed=args.seed, pair=pair)
-    except ValueError as exc:
-        print(f"entcert detect: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rho = dmfile.read_density(args.path)
+    cfg = SearchConfig(restarts=args.restarts, seed=args.seed, pair=pair)
+    rho = _read_input(args)
     report = maximize_violation(rho, cfg) if args.optimize else evaluate_at_identity(rho, pair)
     _print_report(report, args.as_json)
     return _EXIT[report.verdict]
@@ -159,27 +158,23 @@ def _cmd_scan(args) -> int:
     lo, hi = FAMILY_PARAMS[args.family].domain
     param_min = lo if args.param_min is None else args.param_min
     param_max = hi if args.param_max is None else args.param_max
-    try:  # every failure here is in the arguments: the family fixes the state
-        grid = f"parameter grid [{param_min}, {param_max}]"
-        if not (lo <= param_min <= hi and lo <= param_max <= hi):  # NaN fails too
-            raise ValueError(f"{grid} outside family domain [{lo}, {hi}]")
-        if param_min > param_max:
-            raise ValueError(f"{grid} runs backwards: need param-min <= param-max")
-        if args.param_steps < 1 or args.p_steps < 2:
-            raise ValueError("need param-steps >= 1 and p-steps >= 2")
-        params = np.linspace(param_min, param_max, args.param_steps)
-        p_values = np.linspace(0.0, np.pi, args.p_steps)
-        rows = scan_1d(args.family, params, p_values, tuple(args.pair))
-    except ValueError as exc:
-        print(f"entcert scan: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = f"parameter grid [{param_min}, {param_max}]"
+    if not (lo <= param_min <= hi and lo <= param_max <= hi):  # NaN fails too
+        raise ValueError(f"{grid} outside family domain [{lo}, {hi}]")
+    if param_min > param_max:
+        raise ValueError(f"{grid} runs backwards: need param-min <= param-max")
+    if args.param_steps < 1 or args.p_steps < 2:
+        raise ValueError("need param-steps >= 1 and p-steps >= 2")
+    params = np.linspace(param_min, param_max, args.param_steps)
+    p_values = np.linspace(0.0, np.pi, args.p_steps)
+    rows = scan_1d(args.family, params, p_values, tuple(args.pair))
     dmfile.write_scan_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_ppt(args) -> int:
-    rho = dmfile.read_density(args.path)
+    rho = _read_input(args)
     min_eig = ppt_min_eigenvalue(rho)
     verdict = classify_ppt(min_eig, rho.shape)
     print(f"ppt_min_eigenvalue: {min_eig:.12g}")
@@ -194,14 +189,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse help/version exit with 0; usage errors come through _Parser.
         return int(exc.code or 0)
+    args.reading = False  # set by _read_input
     try:
         return args.func(args)
     except OSError as exc:
         print(f"entcert: i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"entcert: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (ValueError, MemoryError) as exc:
+        if args.reading:
+            print(f"entcert: input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        print(f"entcert {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -411,6 +411,41 @@ def test_missing_file_and_usage_errors(tmp_path, capsys, data_dir):
     assert run(capsys, "detect", shipped, "--pair", "1", "3")[0] == 4
 
 
+def _no_room(*args, **kwargs):
+    raise MemoryError("no room")
+
+
+# One rule over every command: a refusal before the command starts reading
+# its input file is a usage error, exit 3; from the read on, an input error,
+# exit 4. Each row: argv, the function patched to raise MemoryError (or
+# None), exit code, exact stderr.
+@pytest.mark.parametrize("argv, no_room, code, stderr", [
+    ("detect {data}/werner_1.0.dm --seed -1", None, 3,
+     "entcert detect: error: seed must be >= 0, got -1\n"),
+    # refused before the missing file is opened
+    ("detect {tmp}/missing.dm --restarts 0", None, 3,
+     "entcert detect: error: restarts must be >= 1, got 0\n"),
+    ("scan werner --out {tmp}/s.csv", "entcert.cli.scan_1d", 3,
+     "entcert scan: error: no room\n"),
+    ("detect {tmp}/non_hermitian.dm", None, 4,
+     "entcert: input error: density matrix not Hermitian (deviation 1.000e-03)\n"),
+    ("detect {data}/horodecki33_3.5.dm --pair 1 7", None, 4,
+     "entcert: input error: level pair (1, 7) is not valid for shape "
+     "BipartiteShape(dim_a=3, dim_b=3)\n"),
+    ("ppt {data}/werner_1.0.dm", "entcert.dmfile.read_density", 4,
+     "entcert: input error: no room\n"),
+], ids=["seed", "restarts-missing-file", "scan-no-room", "non-hermitian", "pair-1-7",
+        "read-no-room"])
+def test_refusals_exit_by_whether_the_read_has_started(
+        argv, no_room, code, stderr, tmp_path, data_dir, capsys, monkeypatch):
+    (tmp_path / "non_hermitian.dm").write_text(_dm_2x2(row1="0.25,0 0.001,0 0,0 0,0"))
+    if no_room:  # never a real allocation: an overcommitting host kills, not refuses
+        monkeypatch.setattr(no_room, _no_room)
+    args = [a.format(data=data_dir, tmp=tmp_path) for a in argv.split()]
+    assert run(capsys, *args) == (code, "", stderr)
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_console_entry_subprocess(tmp_path):
     out = tmp_path / "w.dm"
     r = subprocess.run(

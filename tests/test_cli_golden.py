@@ -68,6 +68,7 @@ COMMANDS = [
     "make-state werner --a nan --out {tmp}/bad.dm",
     "scan werner --param-min nan --out {tmp}/bad.csv",
     "ppt {tmp}/missing.dm",
+    "basis --dim 1 --out {tmp}/b.txt",
     *(f"scan {family} --out {{tmp}}/{family}.csv" for family in ("werner", "iso23", "horodecki33")),
     # Grids whose parameter count falls on, just past or short of a chunk
     # edge of the scan's contraction, and a single-parameter grid.

@@ -532,6 +532,23 @@ def _record_calls(monkeypatch):
     return search_mod.minimize, log
 
 
+@pytest.mark.parametrize("a, ppt_min, starts", [
+    (0.3333333334, -5.0e-11, 18),
+    (0.3333333333, 2.5e-11, 18),
+    (0.333333333, 2.5e-10, 1),
+])
+def test_ppt_gate_keeps_every_start_inside_the_tolerance_band(monkeypatch, a, ppt_min, starts):
+    # Werner states inside (-PPT_TOL, PPT_TOL] run the zero start, the
+    # eigenvector start and every restart at the default config; one just
+    # above the band is proven PPT and runs the zero start alone. Only the
+    # start counts are pinned here, not the verdicts.
+    rho = ec.werner(a)
+    assert ppt_min_eigenvalue(rho) == pytest.approx(ppt_min, rel=1e-3)
+    _, log = _record_calls(monkeypatch)
+    maximize_violation(rho, SearchConfig())
+    assert sum(kind == "res" for kind, _ in log) == starts
+
+
 def _locally_rotated(rho, eps, seed):
     """rho conjugated by a seeded local unitary exp(i eps h_a) (x) exp(i eps h_b)."""
     rng = np.random.default_rng(seed)

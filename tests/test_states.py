@@ -46,6 +46,16 @@ def test_density_matrix_validation():
     assert not dm.mat.flags.writeable
 
 
+def test_negative_eigenvalue_floor_is_minus_1e_minus_9():
+    # Unit-trace diagonal states on each side of MIN_EIG_FLOOR: the band is
+    # rounding, not a negative weight.
+    sh = BipartiteShape(2, 2)
+    with pytest.raises(ValueError, match="negative eigenvalue -1.500e-09"):
+        DensityMatrix(sh, np.diag([0.5, 0.5 + 1.5e-9, -1.5e-9, 0.0]).astype(complex))
+    rho = DensityMatrix(sh, np.diag([0.5, 0.5 + 0.5e-9, -0.5e-9, 0.0]).astype(complex))
+    assert np.linalg.eigvalsh(rho.mat)[0] == -0.5e-9
+
+
 def _gram_state(rng, order):
     g = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
     mat = g @ g.conj().T

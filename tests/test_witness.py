@@ -224,6 +224,22 @@ def test_evaluate_state_observable_duality():
     assert abs(y_direct.y3 - y_moved.y3) < 1e-10
 
 
+def test_imaginary_residual_tolerance_is_1e_minus_8():
+    # A state smuggled past validation, as in test_evaluate_errors, with an
+    # imaginary part on entry (0, 0) on each side of IMAG_TOL.
+    sh22 = BipartiteShape(2, 2)
+
+    def smuggled(imag):
+        bad = object.__new__(DensityMatrix)
+        object.__setattr__(bad, "shape", sh22)
+        object.__setattr__(bad, "mat", np.diag([0.25 + imag * 1j, 0.25, 0.25, 0.25]))
+        return bad
+
+    with pytest.raises(ValueError, match="imaginary residual 1.500e-08"):
+        evaluate_pair(smuggled(1.5e-8), (1, 2), LocalUnitaryPair.identity(sh22))
+    assert evaluate_pair(smuggled(0.5e-8), (1, 2), LocalUnitaryPair.identity(sh22)).y3 == 0.5
+
+
 def test_evaluate_errors():
     sh22 = BipartiteShape(2, 2)
     t = build_triple_mxn(sh22, 1, 2, cached_basis(2), cached_basis(2))
