@@ -59,9 +59,16 @@ def format_density(dm: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_density(dm: DensityMatrix, path) -> None:
+def _write_text(text: str, path) -> None:
+    """Write finished text to path. Every writer formats first and opens
+    (and so truncates) the file only then, so a formatting failure leaves
+    an existing file as it was."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_density(dm))
+        fh.write(text)
+
+
+def write_density(dm: DensityMatrix, path) -> None:
+    _write_text(format_density(dm), path)
 
 
 def _parse_complex_token(tok: str, line_no: int, col: int) -> complex:
@@ -139,8 +146,7 @@ def format_basis(basis: GellMannBasis) -> str:
 
 
 def write_basis(basis: GellMannBasis, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_basis(basis))
+    _write_text(format_basis(basis), path)
 
 
 class _CoordText(dict):
@@ -180,5 +186,4 @@ def format_scan_csv(rows) -> str:
 
 
 def write_scan_csv(rows, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_scan_csv(rows))
+    _write_text(format_scan_csv(rows), path)

@@ -12,6 +12,10 @@ operator |j><k| has an exact expansion in them (``ketbra_in_ggm``).
 
 For n = 2 the basis is the Pauli set: symmetric -> sigma_x, antisymmetric ->
 sigma_y, diagonal -> diag(1, -1).
+
+``build_basis`` fills the generators into one read-only (n^2 - 1, n, n)
+array, the three families in the order above. The ``ggm v1`` dump, the
+witness triples and the search's unitaries all read that one table.
 """
 
 from __future__ import annotations
@@ -22,30 +26,20 @@ from typing import Iterator
 import numpy as np
 
 
-def _ketbra(j: int, k: int, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[j - 1, k - 1] = 1.0
-    return m
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
 @dataclass(frozen=True)
 class GellMannBasis:
-    """Generator basis for one dimension, in a fixed enumeration order.
+    """Generator basis for one dimension: one read-only (n^2 - 1, n, n) table.
 
-    Off-diagonal families are ordered lexicographically in (j, k); the
-    diagonal family by l = 1..n-1. The order is load-bearing: serialized
-    dumps and unitary parameter vectors both index into it.
+    ``generators`` holds the symmetric family, then the antisymmetric, then
+    the diagonal. Off-diagonal families are ordered lexicographically in
+    (j, k); the diagonal family by l = 1..n-1. The order is load-bearing:
+    serialized dumps and unitary parameter vectors both index into it.
+    ``sym``, ``asym``, ``diag`` and ``labeled`` return read-only views of
+    the table.
     """
 
     dim: int
-    symmetric: tuple[np.ndarray, ...]
-    antisymmetric: tuple[np.ndarray, ...]
-    diagonal: tuple[np.ndarray, ...]
+    generators: np.ndarray
 
     def pair_index(self, j: int, k: int) -> int:
         """Position of (j, k), j < k, in the lexicographic pair order."""
@@ -55,15 +49,15 @@ class GellMannBasis:
         return (j - 1) * n - (j - 1) * j // 2 + (k - j - 1)
 
     def sym(self, j: int, k: int) -> np.ndarray:
-        return self.symmetric[self.pair_index(j, k)]
+        return self.generators[self.pair_index(j, k)]
 
     def asym(self, j: int, k: int) -> np.ndarray:
-        return self.antisymmetric[self.pair_index(j, k)]
+        return self.generators[self.dim * (self.dim - 1) // 2 + self.pair_index(j, k)]
 
     def diag(self, l: int) -> np.ndarray:
         if not (1 <= l <= self.dim - 1):
             raise ValueError(f"need 1 <= l <= {self.dim - 1}, got {l}")
-        return self.diagonal[l - 1]
+        return self.generators[self.dim * (self.dim - 1) + l - 1]
 
     def labeled(self) -> Iterator[tuple[str, np.ndarray]]:
         """All generators as (label, matrix), in enumeration order.
@@ -71,38 +65,34 @@ class GellMannBasis:
         Labels: ``s:j,k`` / ``a:j,k`` / ``d:l``.
         """
         n = self.dim
-        pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-        for (j, k), m in zip(pairs, self.symmetric):
-            yield f"s:{j},{k}", m
-        for (j, k), m in zip(pairs, self.antisymmetric):
-            yield f"a:{j},{k}", m
-        for l, m in enumerate(self.diagonal, start=1):
-            yield f"d:{l}", m
+        pairs = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+        labels = [f"s:{p}" for p in pairs] + [f"a:{p}" for p in pairs] + [f"d:{l}" for l in range(1, n)]
+        return zip(labels, self.generators)
 
     def stack(self) -> np.ndarray:
-        """All generators as one (n^2 - 1, n, n) array, in enumeration order."""
-        return np.stack([m for _, m in self.labeled()])
+        """The (n^2 - 1, n, n) table itself, in enumeration order: shared and
+        read-only, not a copy."""
+        return self.generators
 
 
 def build_basis(n: int) -> GellMannBasis:
-    """Construct the generator basis of SU(n)."""
+    """Construct the generator basis of SU(n) as one read-only table."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    symmetric = []
-    antisymmetric = []
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            symmetric.append(_freeze(_ketbra(j, k, n) + _ketbra(k, j, n)))
-            antisymmetric.append(_freeze(-1j * _ketbra(j, k, n) + 1j * _ketbra(k, j, n)))
-    diagonal = []
+    j, k = np.triu_indices(n, 1)  # the pairs in lexicographic order
+    a = np.arange(len(j))
+    g = np.zeros((n * n - 1, n, n), dtype=complex)
+    g[a, j, k] = g[a, k, j] = 1.0
+    # -1j is complex(-0.0, -1.0), whose real part a dump would print as -0.0
+    g[a + len(j), j, k] = complex(0.0, -1.0)
+    g[a + len(j), k, j] = 1j
     for l in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
         coeff = np.sqrt(2.0 / (l * (l + 1)))
-        for j in range(1, l + 1):
-            d[j - 1, j - 1] = coeff
+        d = g[2 * len(j) + l - 1]
+        d[range(l), range(l)] = coeff
         d[l, l] = -l * coeff
-        diagonal.append(_freeze(d))
-    return GellMannBasis(n, tuple(symmetric), tuple(antisymmetric), tuple(diagonal))
+    g.setflags(write=False)
+    return GellMannBasis(n, g)
 
 
 def ketbra_in_ggm(j: int, k: int, basis: GellMannBasis) -> np.ndarray:

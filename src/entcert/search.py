@@ -20,14 +20,15 @@ random starts, Gram-Schmidt of complex Gaussian A and B, so Haar random
 objective computed them (no Gram-Schmidt runs twice), are turned back into
 theta: each side is completed to a unitary by Gram-Schmidt of the
 identity's other columns, both sides' logs come from one stacked
-eigen-solve, and each side's theta is one product with the flattened
-generator stack that :func:`build_unitaries` multiplies theta by, so one
-table of generators serves both directions. The certificate is evaluated
-at the unitaries rebuilt from theta; when the best point is the first
-evaluated, the zero start's, it reports theta = 0 with the y values the
-objective computed there: that point is the identity's columns, so they
-are the identity's certificate, with no second kernel call. The zero
-start's variables are built once per shape and pair and shared read-only.
+eigen-solve, and each side's theta is one product with the generator
+rows that :func:`build_unitaries` multiplies theta by, the basis table's
+flattened view, so one table of generators serves both directions. The
+certificate is evaluated at the unitaries rebuilt from theta; when the
+best point is the first evaluated, the zero start's, it reports theta = 0
+with the y values the objective computed there: that point is the
+identity's columns, so they are the identity's certificate, with no
+second kernel call. The zero start's variables are built once per shape
+and pair and shared read-only.
 The optimizer, :func:`minimize`, is this module's own numpy L-BFGS with a
 backtracking line search, so a search needs numpy only; the objective
 computes the gradient only at the points :func:`minimize` asks it for,
@@ -327,32 +328,32 @@ class DetectionReport:
 
 
 @cache
-def _generator_stack(n: int) -> np.ndarray:
-    """The SU(n) generators stacked in basis order; built once per n, read-only."""
-    stack = build_basis(n).stack()
-    stack.setflags(write=False)
-    return stack
+def _generator_rows(n: int) -> np.ndarray:
+    """The SU(n) generators in basis order, each flattened to a row: the
+    read-only (n^2 - 1, n^2) view of :func:`build_basis`'s table, built
+    once per n."""
+    return build_basis(n).stack().reshape(n * n - 1, n * n)
 
 
 def build_unitaries(params: UnitaryParams, shape: BipartiteShape) -> LocalUnitaryPair:
     """Exponentiate parameter vectors into a local unitary pair.
 
     Each side's generator sum sum_a theta_a g_a is one vector-matrix product
-    over the generators flattened to rows (the same products, bit for bit,
-    as a tensor contraction of theta with the stack), and
-    :func:`unitary_exp`, which checks that the sum is Hermitian, is its
-    only exponential.
+    with :func:`_generator_rows`, the generator table flattened to rows (the
+    same products, bit for bit, as a tensor contraction of theta with the
+    table), and :func:`unitary_exp`, which checks that the sum is Hermitian,
+    is its only exponential.
     """
     theta_a, theta_b = np.asarray(params.theta_a), np.asarray(params.theta_b)
-    stack_a, stack_b = _generator_stack(shape.dim_a), _generator_stack(shape.dim_b)
-    if theta_a.shape != (stack_a.shape[0],) or theta_b.shape != (stack_b.shape[0],):
+    m, n = shape.dim_a, shape.dim_b
+    if theta_a.shape != (m * m - 1,) or theta_b.shape != (n * n - 1,):
         raise ValueError(
             f"parameter lengths ({theta_a.size}, {theta_b.size}) do not match "
-            f"generator counts ({stack_a.shape[0]}, {stack_b.shape[0]})"
+            f"generator counts ({m * m - 1}, {n * n - 1})"
         )
     u, v = (
-        unitary_exp((theta @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]))
-        for theta, stack in ((theta_a, stack_a), (theta_b, stack_b))
+        unitary_exp((theta @ _generator_rows(d)).reshape(d, d))
+        for theta, d in ((theta_a, m), (theta_b, n))
     )
     return LocalUnitaryPair(u, v)
 
@@ -549,7 +550,7 @@ def _theta(u2: np.ndarray, v2: np.ndarray, levels: tuple[int, int]) -> UnitaryPa
       of the first slice; its exponential is u times the global phase
       exp(-i Tr(h_a) / M), and likewise on B. f does not see those phases,
       so no branch of the log needs choosing. Each side's read-off is one
-      product with the same flattened generator stack that
+      product with the same generator rows, :func:`_generator_rows`, that
       :func:`build_unitaries` multiplies theta by: Tr(g h) is the sum of
       g[i, j] h[j, i], so each flattened generator meets h transposed.
     The identity's columns complete to the identity, whose eigenvalues
@@ -565,7 +566,7 @@ def _theta(u2: np.ndarray, v2: np.ndarray, levels: tuple[int, int]) -> UnitaryPa
     vecs = np.linalg.qr(vecs)[0]
     h = (vecs * np.angle(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     theta_a, theta_b = (
-        (_generator_stack(d).reshape(d * d - 1, -1) @ h[s, :d, :d].T.ravel()).real / 2
+        (_generator_rows(d) @ h[s, :d, :d].T.ravel()).real / 2
         for s, d in enumerate((m, n))
     )
     return UnitaryParams(tuple(theta_a.tolist()), tuple(theta_b.tolist()))

@@ -16,6 +16,7 @@ from entcert.dmfile import (
     parse_density,
     read_density,
     write_density,
+    write_scan_csv,
 )
 from entcert.search import SCAN_FAMILIES, SearchConfig, scan_1d
 from entcert.states import FAMILY_PARAMS
@@ -259,6 +260,23 @@ def test_scan_csv_rejects_rows_that_are_not_triples():
                  [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)]):
         with pytest.raises(ValueError):
             format_scan_csv(rows)
+
+
+def test_writer_formats_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"param,p,f\nprevious\n")
+    with pytest.raises(ValueError):
+        write_scan_csv([(0.0, 0.0, 1.0), (0.0, 1.0)], path)
+    assert path.read_bytes() == b"param,p,f\nprevious\n"
+
+
+def test_scan_that_fails_to_format_keeps_the_existing_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"param,p,f\nprevious\n")
+    monkeypatch.setattr("entcert.dmfile.format_scan_csv", _no_room)
+    assert run(capsys, "scan", "werner", "--out", str(path)) == (
+        3, "", "entcert scan: error: no room\n")
+    assert path.read_bytes() == b"param,p,f\nprevious\n"
 
 
 def test_scan_rejects_bad_grid(tmp_path, capsys):

@@ -69,6 +69,12 @@ COMMANDS = [
     "scan werner --param-min nan --out {tmp}/bad.csv",
     "ppt {tmp}/missing.dm",
     "basis --dim 1 --out {tmp}/b.txt",
+    # The generator dumps and written family states: the bytes of the
+    # basis table and of the closed-form family constructors.
+    *(f"basis --dim {n} --out {{tmp}}/b{n}.txt" for n in (2, 3, 5, 8)),
+    "make-state werner --a 0.5 --out {tmp}/werner.dm",
+    "make-state iso23 --a 0.26 --out {tmp}/iso23.dm",
+    "make-state horodecki33 --alpha 3.5 --out {tmp}/horodecki33.dm",
     *(f"scan {family} --out {{tmp}}/{family}.csv" for family in ("werner", "iso23", "horodecki33")),
     # Grids whose parameter count falls on, just past or short of a chunk
     # edge of the scan's contraction, and a single-parameter grid.

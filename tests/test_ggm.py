@@ -14,10 +14,25 @@ def elementary(j, k, n):
 def test_counts():
     for n in range(2, 9):
         b = cached_basis(n)
-        assert len(b.symmetric) == n * (n - 1) // 2
-        assert len(b.antisymmetric) == n * (n - 1) // 2
-        assert len(b.diagonal) == n - 1
-        assert sum(1 for _ in b.labeled()) == n * n - 1
+        families = [label[0] for label, _ in b.labeled()]
+        assert families.count("s") == n * (n - 1) // 2
+        assert families.count("a") == n * (n - 1) // 2
+        assert families.count("d") == n - 1
+        assert len(families) == n * n - 1
+        assert b.stack().shape == (n * n - 1, n, n)
+
+
+def test_stack_is_one_shared_read_only_table():
+    b = build_basis(4)
+    table = b.stack()
+    assert b.stack() is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 1] = 2.0
+    for view in (b.sym(1, 2), b.asym(2, 4), b.diag(3), *(m for _, m in b.labeled())):
+        assert np.shares_memory(view, table)
+        with pytest.raises(ValueError):
+            view[0, 0] = 2.0
 
 
 def test_rejects_dim_below_two():

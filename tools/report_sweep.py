@@ -7,7 +7,7 @@
 in turn records the same sweep for each. It writes, as JSON, the
 ``to_dict()`` of the default ``maximize_violation`` (search seeds 0 and 1)
 and of ``evaluate_at_identity`` for ``random_density`` of every shape in
-SHAPES at state seeds 0-2: 108 reports, keyed like ``2x3/s0/search1`` and
+SHAPES at state seeds 0-2: 126 reports, keyed like ``2x3/s0/search1`` and
 ``2x3/s0/identity``.
 
 ``compare`` prints the reports that differ, the verdict changes, the
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import sys
 
-SHAPES = ((2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2), (3, 5), (4, 5), (2, 4), (4, 4), (3, 3), (5, 5))
+SHAPES = ((2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2), (3, 5), (4, 5), (2, 4), (4, 4), (3, 3), (5, 5), (6, 6), (2, 8))
 STATE_SEEDS = (0, 1, 2)
 SEARCH_SEEDS = (0, 1)
 
