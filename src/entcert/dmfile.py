@@ -16,12 +16,21 @@ errors carry 1-based line and column.
 
 Generator dumps reuse the matrix row syntax under a ``ggm v1`` header, one
 labeled block per generator. Scan tables are CSV with header ``param,p,f``
-and ``%.16e`` values (17 significant digits, exact to re-parse).
+and ``%.16e`` values (17 significant digits, exact to re-parse), byte for
+byte what ``'%.16e' % x`` gives for each cell. A numpy kernel writes them:
+for 1e-29 <= |x| < 1e16 it multiplies |x| by an exact double-double 10**s
+(Dekker's two-product, so the product is exact) and rounds that to the 17
+digits, as ``%`` does. A cell it cannot prove, because it is 0, not finite,
+out of that range, within 1e-9 of a rounding tie, or next to a power of ten
+where the exponent estimate is off by one, is formatted by ``%`` itself. So
+the text equals ``%``'s by construction, not only on tested inputs.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from functools import cache
 
 import numpy as np
 
@@ -149,40 +158,113 @@ def write_basis(basis: GellMannBasis, path) -> None:
     _write_text(format_basis(basis), path)
 
 
-class _CoordText(dict):
-    """``%.16e`` text of grid coordinates, formatted once per distinct value.
+_CELL = 24  # the longest '%.16e' text: '-1.7976931348623157e+308'
+_BLOCK = 4096
 
-    Zeros are never stored: 0.0 == -0.0 but they print differently. A NaN
-    equals nothing, so only the same NaN object finds its entry. Keys are
-    compared by value, which is sound because equal real numbers (Python
-    or numpy floats and ints) print alike.
+
+def _product_error(a, b, p):
+    """Dekker's two-product without FMA: a*b - p exactly, for p = fl(a*b).
+    Veltkamp's split (by 2**27 + 1) cuts a and b into 26-bit halves."""
+    ta, tb = a * 134217729.0, b * 134217729.0
+    a_h, b_h = ta - (ta - a), tb - (tb - b)
+    a_l, b_l = a - a_h, b - b_h
+    return ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l
+
+
+@cache
+def _e16_tables():
+    """10**s as hi + lo for s in 0..45, exact because 10**s = 2**s * 5**s
+    and 5**45 < 2**106; then the 4-byte words a cell is made of: "0000" to
+    "9999", NUL + (NUL or "-") + leading digit + ".", and "e-29" to "e+15"."""
+    hi = [float(10**s) for s in range(46)]
+    pow10 = np.array([hi, [float(10**s - int(h)) for s, h in enumerate(hi)]])
+    pow10.setflags(write=False)
+    d = np.frombuffer(b"0123456789", np.uint8)
+    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).tobytes()
+    lead = b"".join(b"\0%c%d." % (sign, k) for sign in b"\0-" for k in range(10))
+    exponent = b"".join(b"e%+03d" % e for e in range(-29, 16))
+    return pow10, *(np.frombuffer(words, "V4") for words in (digits, lead, exponent))
+
+
+def _format_e16(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.16e' % v`` for each v of the float64 array values into the
+    rows of the (len(values), 24) uint8 array out, right-aligned after NUL
+    bytes.
+
+    Exact by construction. For finite 1e-29 <= |v| < 1e16, E estimates
+    floor(log10|v|) and s = 16 - E (kept in 1..45). Dekker's two-product of
+    |v| with the exact pair 10**s = hi + lo gives p1 + e1 + p2 + e2 ==
+    |v| * 10**s exactly; p1 >= 2**53 is then an integer, and the other three
+    terms, a few units, are summed with an error below 1e-14. Rounding to
+    the nearest integer gives the 17 significant digits D that ``%`` gives,
+    as it rounds exactly. A cell falls back to ``%``, one at a time, when v
+    is 0, -0.0, not finite or outside that range; when the fraction lies
+    within 1e-9 of 1/2 (a tie, or too close to call); or when
+    floor(|v| * 10**s) < 10**16 or D >= 10**17, which is E off by one next
+    to a power of ten. (Where that floor, computed from the rounded sum,
+    reads 10**16 for a product just below it, the product is within 1e-14
+    of 10**16, and ``%`` carries to the same text.) Values go through in
+    blocks, so that the temporaries stay small whatever the length.
     """
-
-    def __missing__(self, x) -> str:
-        text = f"{x:.16e}"
-        if x != 0:
-            self[x] = text
-        return text
+    pow10, digits, lead, exponent = _e16_tables()
+    for start in range(0, len(values), _BLOCK):
+        x, cells = values[start : start + _BLOCK], out[start : start + _BLOCK]
+        a = np.abs(x)
+        fallback = ~((a >= 1e-29) & (a < 1e16))  # True for NaN, with no warning
+        a[fallback] = 1.0
+        e = np.clip(np.floor(np.log10(a)), -29, 15).astype(np.int64)
+        hi, lo = pow10[:, 16 - e]
+        p1, p2 = a * hi, a * lo
+        rest = (_product_error(a, hi, p1) + p2) + _product_error(a, lo, p2)
+        whole = np.floor(rest)
+        frac = rest - whole
+        floor = p1.astype(np.int64) + whole.astype(np.int64)
+        d = floor + (frac > 0.5)
+        fallback |= (abs(frac - 0.5) <= 1e-9) | (floor < 10**16) | (d >= 10**17)
+        d[fallback] = 10**16  # in range for the lookups below, overwritten after
+        # d // 10**k for k = 16, 12, 8, 4, 0 (numpy's // by a constant is much
+        # faster than its %), cut into 4-digit chunks
+        shifted = [d // 10**k for k in (16, 12, 8, 4)] + [d]
+        words = cells.view("V4")
+        words[:, 0] = lead[shifted[0] + 10 * (x < 0)]
+        for w in range(1, 5):
+            words[:, w] = digits[shifted[w] - shifted[w - 1] * 10**4]
+        words[:, 5] = exponent[e + 29]
+        for i in np.flatnonzero(fallback).tolist():
+            cells[i] = np.frombuffer(("%.16e" % x[i]).rjust(_CELL, "\0").encode("ascii"), np.uint8)
 
 
 def format_scan_csv(rows) -> str:
     """CSV text of (param, p, f) rows, every value as ``%.16e``.
 
-    A grid repeats each param and p value many times, so those two columns
-    are formatted once per distinct value, and the whole table then goes
-    through one ``%`` call; the text is the same as formatting every entry
-    row by row.
+    The text is byte for byte ``"%.16e,%.16e,%.16e\\n" % row`` per row. Each
+    cell is converted to a double as ``%`` converts it (a str, bytes, None
+    or complex cell is a TypeError), then formatted by :func:`_format_e16`,
+    whose text is ``%``'s by construction: the cells it cannot prove go to
+    ``%`` one at a time. A grid repeats each param and p value, so those two
+    columns are formatted once per distinct bit pattern, which keeps 0.0 and
+    -0.0 apart. Every cell is written right-aligned into a 24-byte slot of
+    one table, and the NUL bytes before it are deleted at the end.
     """
     columns = tuple(zip(*rows, strict=True))  # rows of unequal length raise
     if not columns:
         return "param,p,f\n"
-    a_col, p_col, f_col = columns
-    coord = _CoordText()
-    cells = [None] * (3 * len(f_col))
-    cells[0::3] = map(coord.__getitem__, a_col)
-    cells[1::3] = map(coord.__getitem__, p_col)
-    cells[2::3] = f_col
-    return "param,p,f\n" + ("%s,%s,%.16e\n" * len(f_col)) % tuple(cells)
+    a_col, p_col, f_col = [np.frombuffer(array("d", col)) for col in columns]
+    del columns
+    buf = bytearray(10 + len(f_col) * 3 * (_CELL + 1))
+    buf[:10] = b"param,p,f\n"
+    table = np.frombuffer(buf, np.uint8, offset=10).reshape(-1, 3, _CELL + 1)
+    table[:, :, _CELL] = np.frombuffer(b",,\n", np.uint8)
+    for j, col in enumerate((a_col, p_col)):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        cells = np.empty((len(bits), _CELL), np.uint8)
+        _format_e16(bits.view(np.float64), cells)
+        table[:, j, :_CELL].view("V24")[:, 0] = cells.view("V24")[inverse, 0]
+    _format_e16(f_col, table[:, 2, :_CELL])
+    del table  # the view pins buf
+    text = buf.translate(None, b"\0")
+    del buf
+    return text.decode("ascii")
 
 
 def write_scan_csv(rows, path) -> None:

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GellMannBasis:
     """Generator basis for one dimension: one read-only (n^2 - 1, n, n) table.
 
@@ -35,11 +35,20 @@ class GellMannBasis:
     (j, k); the diagonal family by l = 1..n-1. The order is load-bearing:
     serialized dumps and unitary parameter vectors both index into it.
     ``sym``, ``asym``, ``diag`` and ``labeled`` return read-only views of
-    the table.
+    the table. Two bases are equal when their dimensions and tables are; the
+    hash is the dimension's.
     """
 
     dim: int
     generators: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, GellMannBasis):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.generators, other.generators)
+
+    def __hash__(self):
+        return hash(self.dim)
 
     def pair_index(self, j: int, k: int) -> int:
         """Position of (j, k), j < k, in the lexicographic pair order."""

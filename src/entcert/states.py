@@ -29,7 +29,7 @@ TRACE_TOL = 1e-10
 MIN_EIG_FLOOR = -1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix with bipartite structure attached.
 
@@ -41,10 +41,21 @@ class DensityMatrix:
     families' constructors build their states without this check, from a
     proof that holds for every parameter in the family's domain (see
     :func:`_family_state`); every other state runs it.
+
+    Two states are equal when their shapes and matrices are, entry by entry;
+    the hash is the shape's.
     """
 
     shape: BipartiteShape
     mat: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.mat, other.mat)
+
+    def __hash__(self):
+        return hash(self.shape)
 
     def __post_init__(self):
         raw = _require_square(self.mat, "density matrix")

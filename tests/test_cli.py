@@ -2,15 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entcert import BipartiteShape, ppt_min_eigenvalue
+from entcert import BipartiteShape, dmfile, ppt_min_eigenvalue
 from entcert.cli import _EXIT, _build_parser, main
 from entcert.dmfile import (
     DmParseError,
+    _format_e16,
     format_density,
     format_scan_csv,
     parse_density,
@@ -260,6 +264,118 @@ def test_scan_csv_rejects_rows_that_are_not_triples():
                  [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)]):
         with pytest.raises(ValueError):
             format_scan_csv(rows)
+    # A cell is converted to a double as '%' converts it, so what '%' refuses
+    # is refused in every column; nothing is parsed or turned into nan.
+    for bad in ("1.5", b"1.5", None, 1j):
+        with pytest.raises(TypeError):
+            "%.16e" % bad
+        for col in range(3):
+            row = [0.5, 0.5, 0.5]
+            row[col] = bad
+            with pytest.raises(TypeError, match="must be real number"):
+                format_scan_csv([(0.25, 0.25, 0.25), tuple(row)])
+
+
+def test_scan_csv_takes_what_percent_takes():
+    cells = [np.float32(0.1), Fraction(1, 3), True, False, 7, -2, np.int64(3), 2**60 + 1,
+             np.float64(-0.0), np.float32("nan")]
+    rows = [(a, p, f) for a in cells for p in cells[:4] for f in cells]
+    assert format_scan_csv(rows) == "param,p,f\n" + "".join("%.16e,%.16e,%.16e\n" % row for row in rows)
+    with pytest.raises(OverflowError):
+        format_scan_csv([(0.0, 0.0, 10**400)])
+
+
+def _e16_text(values) -> str:
+    """The text _format_e16 writes for each value, one line each."""
+    values = np.asarray(values, dtype=float)
+    cells = np.zeros((len(values), 25), np.uint8)
+    cells[:, 24] = ord("\n")
+    _format_e16(values, cells[:, :24])
+    return cells.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _percent_text(values) -> str:
+    values = np.asarray(values, dtype=float).tolist()
+    return ("%.16e\n" * len(values)) % tuple(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40),
+       st.lists(st.floats(-1e17, 1e17) | st.floats(-1e-27, 1e-27), max_size=40))
+def test_e16_kernel_is_percent_on_any_double(bits, floats):
+    # raw bit patterns reach every exponent, NaN payloads and subnormals;
+    # the floats stay near the range the kernel formats itself
+    values = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), floats])
+    assert _e16_text(values) == _percent_text(values)
+    rows = list(zip(values, np.roll(values, 1), np.roll(values, 2)))
+    assert format_scan_csv(rows) == "param,p,f\n" + "".join("%.16e,%.16e,%.16e\n" % row for row in rows)
+
+
+def _boundary_values() -> list[float]:
+    values = [1e-29, 1e16, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.0, np.nan, np.inf]
+    values += np.array([0x7FF0000000000001, 0x7FF8000000000001], np.uint64).view(np.float64).tolist()  # NaN payloads
+    for k in range(-30, 18):  # each power of ten and 2 ulp on either side
+        below = above = float(f"1e{k}")
+        values.append(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+    # 2**-k has k decimals: 2**-25 = 2.98023223876953125e-08 is a tie at 17
+    # digits, which '%' rounds to even
+    values += [m * 2.0**-k for k in range(90) for m in (1, 3, 5, 7)]
+    return values + [-v for v in values]
+
+
+def test_e16_kernel_at_its_boundaries():
+    assert "%.16e" % 2.0**-25 == "2.9802322387695312e-08"
+    values = _boundary_values()
+    assert _e16_text(values) == _percent_text(values)
+
+
+class _NumpyWith:
+    """numpy with some of its functions replaced, to stand in for dmfile.np."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("nudge", [-1e-12, 1e-12])
+def test_e16_kernel_is_exact_when_log10_is_off_by_one(monkeypatch, nudge):
+    # The exponent is only an estimate: a log10 that lands on the wrong side
+    # of an integer next to a power of ten must send the cell to '%'.
+    monkeypatch.setattr(dmfile, "np", _NumpyWith(log10=lambda a: np.log10(a) + nudge))
+    values = _boundary_values()
+    assert _e16_text(values) == _percent_text(values)
+
+
+def test_e16_kernel_sweep_over_every_decade():
+    rng = np.random.default_rng(33)
+    for decade in range(-31, 18):  # every decade the kernel formats, and two more
+        values = rng.uniform(1.0, 10.0, 20_480) * 10.0**decade * rng.choice([-1.0, 1.0], 20_480)
+        assert _e16_text(values) == _percent_text(values), decade
+
+
+def test_e16_kernel_formats_scan_values_itself(monkeypatch):
+    # the % fallback runs only for cells outside the kernel's range (zeros
+    # here), so the speed of a scan does not rest on it
+    fallbacks = []
+
+    def flatnonzero(a):
+        fallbacks.append(len(np.flatnonzero(a)))
+        return np.flatnonzero(a)
+
+    monkeypatch.setattr(dmfile, "np", _NumpyWith(flatnonzero=flatnonzero))
+    for family in SCAN_FAMILIES:
+        rows = scan_1d(family, np.linspace(*FAMILY_PARAMS[family].domain, 101), np.linspace(0.0, np.pi, 101))
+        fallbacks.clear()
+        format_scan_csv(rows)
+        a, p, f = (np.array(col) for col in zip(*rows))
+        cells = [np.unique(a.view(np.int64)).view(np.float64), np.unique(p.view(np.int64)).view(np.float64), f]
+        assert sum(fallbacks) == sum(int((~((abs(c) >= 1e-29) & (abs(c) < 1e16))).sum()) for c in cells)
 
 
 def test_writer_formats_before_it_opens_the_file(tmp_path):

@@ -75,6 +75,18 @@ def test_enumeration_order():
     assert b.pair_index(1, 2) == 0 and b.pair_index(2, 3) == 2
 
 
+def test_bases_compare_by_dimension_and_table():
+    # the generated dataclass __eq__ compared the tables with ==, which raised
+    assert (build_basis(2) == build_basis(2)) is True
+    assert (build_basis(3) != build_basis(3)) is False
+    assert build_basis(2) != build_basis(3)
+    assert build_basis(2) != "basis"
+    assert len({build_basis(2), build_basis(2), build_basis(3)}) == 2
+    b = build_basis(2)
+    other = type(b)(2, -b.generators)
+    assert b != other and hash(b) == hash(other)
+
+
 def test_ketbra_qubit_raising():
     b = cached_basis(2)
     assert np.array_equal(ketbra_in_ggm(1, 2, b), np.array([[0, 1], [0, 0]], dtype=complex))

@@ -46,6 +46,23 @@ def test_density_matrix_validation():
     assert not dm.mat.flags.writeable
 
 
+def test_density_matrices_compare_by_shape_and_entries(data_dir):
+    # the generated dataclass __eq__ compared the matrices with ==, which raised
+    assert (werner(0.5) == werner(0.5)) is True
+    assert (werner(0.5) != werner(0.5)) is False
+    assert werner(0.5) != werner(0.25)
+    assert werner(0.5) != "werner(0.5)"
+    assert len({werner(0.5), werner(0.5), werner(1.0)}) == 2
+    assert read_density(data_dir / "werner_0.5.dm") == werner(0.5)
+    # the same entries on a 2x3 and on a 3x2 system are different states
+    flat = DensityMatrix(BipartiteShape(2, 3), np.eye(6, dtype=complex) / 6)
+    assert flat != DensityMatrix(BipartiteShape(3, 2), flat.mat)
+    # -0.0 == 0.0 entrywise, so equal states must hash alike
+    neg = DensityMatrix(BipartiteShape(2, 2), np.diag([0.5, 0.5, -0.0, 0.0]).astype(complex))
+    assert neg == DensityMatrix(BipartiteShape(2, 2), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    assert hash(neg) == hash(werner(0.5))
+
+
 def test_negative_eigenvalue_floor_is_minus_1e_minus_9():
     # Unit-trace diagonal states on each side of MIN_EIG_FLOOR: the band is
     # rounding, not a negative weight.

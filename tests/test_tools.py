@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
 
@@ -79,3 +81,31 @@ def test_report_sweep_compare(tmp_path, capsys):
     assert out[0] == "moved: 2 of 2 reports"
     assert "  2x2/s0/identity: entangled_certified -> inconclusive" in out
     assert report_sweep.main(["compare", str(paths["base"])]) == 2
+
+
+FORMAT_SWEEP = CODE_LINES.parent / "format_sweep.py"
+
+
+def test_format_sweep_counts_mismatches(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("format_sweep", FORMAT_SWEEP)
+    format_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(format_sweep)
+    assert format_sweep.main(["20000", "3"]) == 0
+    assert capsys.readouterr().out.startswith("20000 values (seed 3): 0 mismatches in ")
+
+    from entcert import dmfile
+
+    kernel = dmfile._format_e16
+
+    def off_by_one_digit(values, out):  # the last mantissa digit of 1.5 goes wrong
+        kernel(values, out)
+        out[values == 1.5, 19] += 1
+
+    monkeypatch.setattr(dmfile, "_format_e16", off_by_one_digit)
+    values = format_sweep.draw(np.random.default_rng(3), 20000)
+    values[[5, 17]] = 1.5
+    monkeypatch.setattr(format_sweep, "draw", lambda rng, n: values[:n])
+    assert format_sweep.main(["20000", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["mismatch: 1.5: kernel '1.5000000000000001e+00', % '1.5000000000000000e+00'"] * 2
+    assert out[2].startswith("20000 values (seed 3): 2 mismatches in ")
